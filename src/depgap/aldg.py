@@ -118,6 +118,20 @@ def _shuffled_t_values(sample: PairedSample, cfg: KdeConfig, seed: int, index: i
     return t_statistic_at_sample_points(shuffled, cfg)
 
 
+def _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads) -> list:
+    if n_shuffles is None:
+        n_shuffles = default_n_shuffles(sample.n)
+    return ordered_map(
+        lambda index: _shuffled_t_values(sample, cfg, seed, index),
+        range(n_shuffles),
+        threads,
+    )
+
+
+def _median_of_maxima(t_arrays) -> float:
+    return float(np.median([float(np.max(tvals)) for tvals in t_arrays]))
+
+
 def threshold_uniform_error(
     sample: PairedSample,
     cfg: KdeConfig,
@@ -132,14 +146,7 @@ def threshold_uniform_error(
     those maxima estimates the uniform estimation error of T under
     independence. Defaults to max(1000 // n, 5) shuffles.
     """
-    if n_shuffles is None:
-        n_shuffles = default_n_shuffles(sample.n)
-
-    def one(index):
-        return float(np.max(_shuffled_t_values(sample, cfg, seed, index)))
-
-    maxima = ordered_map(one, range(n_shuffles), threads)
-    return float(np.median(maxima))
+    return _median_of_maxima(_shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads))
 
 
 def threshold_inflection_point(
@@ -156,30 +163,28 @@ def threshold_inflection_point(
     data is evaluated on the grid, and the grid point maximizing the discrete
     second difference (the steepest transition from fast to slow decline) is
     taken as that shuffle's estimate. Defaults: 51 grid points from 0 to twice
-    the uniform-error threshold, and max(1000 // n, 5) shuffles.
+    the uniform-error threshold, and max(1000 // n, 5) shuffles. The default
+    grid's upper end comes from the same shuffles as the curves.
     """
-    if n_shuffles is None:
-        n_shuffles = default_n_shuffles(sample.n)
-    if grid is None:
-        upper = 2.0 * threshold_uniform_error(sample, cfg, n_shuffles, seed, threads)
-        if not upper > 0:
-            raise DegenerateCurve("shuffle maxima give no positive threshold range")
-        grid = np.linspace(0.0, upper, 51)
-    else:
+    if grid is not None:
         grid = np.asarray(grid, dtype=float)
         if grid.size < 5 or not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing with >= 5 points")
+    t_arrays = _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads)
+    if grid is None:
+        upper = 2.0 * _median_of_maxima(t_arrays)
+        if not upper > 0:
+            raise DegenerateCurve("shuffle maxima give no positive threshold range")
+        grid = np.linspace(0.0, upper, 51)
 
-    def one(index):
-        tvals = _shuffled_t_values(sample, cfg, seed, index)
+    def one(tvals):
         curve = (tvals[None, :] >= grid[:, None]).mean(axis=1)
         if np.all(curve == curve[0]):
             raise DegenerateCurve("aLDG-versus-t curve is constant on the grid")
         second_diff = curve[2:] - 2.0 * curve[1:-1] + curve[:-2]
         return float(grid[int(np.argmax(second_diff)) + 1])
 
-    points = ordered_map(one, range(n_shuffles), threads)
-    return float(np.median(points))
+    return float(np.median([one(tvals) for tvals in t_arrays]))
 
 
 def _resolve_rule(rule: ThresholdRule, n: int) -> ThresholdRule:

@@ -142,7 +142,7 @@ def write_expression(matrix: ExpressionMatrix, path, format: str = "csv") -> Non
 
 def read_pairs(path) -> PairedSample:
     """Read a two-column x,y CSV (optional header) into a PairedSample."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty file", row=1)
     start = 0
@@ -178,9 +178,12 @@ def _resolve_seed(flag_value, fallback: int = 0) -> int:
     if flag_value is not None:
         return int(flag_value)
     env = os.environ.get("DEPGAP_SEED")
-    if env is not None:
+    if env is None:
+        return fallback
+    try:
         return int(env)
-    return fallback
+    except ValueError:
+        raise _UsageError(f"DEPGAP_SEED must be an integer, got {env!r}") from None
 
 
 def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
@@ -364,10 +367,20 @@ def _add_measure_flags(p):
     p.add_argument("--t", type=float, default=None, help="threshold for the fixed rule")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: DEPGAP_SEED env var, else 0)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,10 +32,9 @@ def permutation_test(
     """Permutation independence test with the add-one p-value estimator.
 
     p = (1 + #{b : stat_b >= observed}) / (n_perms + 1), where each stat_b is
-    the measure on (xs, permuted ys). Stochastic measure internals (threshold
-    shuffles, Monte Carlo subsequences) are re-seeded per permutation, so the
-    threshold rule is re-resolved on each permuted dataset and the null stays
-    exchangeable.
+    the measure on (xs, permuted ys). aLDG's threshold shuffles are re-seeded
+    per permutation, so the threshold rule is re-resolved on each permuted
+    dataset and the null stays exchangeable.
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)

@@ -7,15 +7,13 @@ family (aLDG, avgCSN, mean-T), so tests and batch drivers can treat them
 uniformly.
 """
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import kendalltau, rankdata
 
-from ._util import child_rng, child_seed, ordered_map
+from ._util import child_seed, ordered_map
 from .aldg import ThresholdRule, aldg, avgcsn, mean_t
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
 from .kde import PairedSample
@@ -46,16 +44,11 @@ _ALLOWED_PARAMS = {
     "dcor": set(),
     "hsic": {"width"},
     "hhg": set(),
-    "mr": {"k", "seed"},
+    "mr": set(),
     "aldg": {"rule"},
     "avgcsn": {"alpha"},
     "mean-t": set(),
 }
-
-# Subset-count ceiling above which the matching-ranks sum is estimated by
-# seeded Monte Carlo instead of exact enumeration.
-_MR_EXACT_LIMIT = 10**6
-
 
 @dataclass
 class MeasureKind:
@@ -199,91 +192,80 @@ def _hhg(sample: PairedSample) -> float:
     For a pair (i, j), the remaining n-2 points are classified by whether
     they fall inside the closed x-ball and y-ball of radius |x_j - x_i| and
     |y_j - y_i| around point i. Terms with a degenerate margin contribute 0.
-    The computation is O(n^3): one n x n membership table per center i.
+    The computation is O(n^3): one n x n membership table per center i,
+    built for blocks of 250_000 // n^2 centers to cut per-center overhead.
     """
     n = sample.n
     if n < 4:
         raise TooFewSamples("the HHG statistic needs at least 4 observations")
     xs, ys = sample.xs, sample.ys
     total = 0.0
-    for i in range(n):
-        dx = np.abs(xs - xs[i])
-        dy = np.abs(ys - ys[i])
-        in_x = dx[None, :] <= dx[:, None]
-        in_y = dy[None, :] <= dy[:, None]
+    block = max(1, int(250_000 // (n * n)))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        dx = np.abs(xs[None, :] - xs[start:stop, None])
+        dy = np.abs(ys[None, :] - ys[start:stop, None])
+        in_x = dx[:, None, :] <= dx[:, :, None]
+        in_y = dy[:, None, :] <= dy[:, :, None]
         # The center (k = i) and the radius point (k = j) always satisfy the
         # closed inequalities, so dropping them is a constant correction.
-        ax = in_x.sum(axis=1) - 2
-        ay = in_y.sum(axis=1) - 2
-        axy = (in_x & in_y).sum(axis=1) - 2
+        ax = in_x.sum(axis=2) - 2
+        ay = in_y.sum(axis=2) - 2
+        axy = (in_x & in_y).sum(axis=2) - 2
         px = ax / (n - 2)
         py = ay / (n - 2)
         pxy = axy / (n - 2)
         denom = px * (1.0 - px) * py * (1.0 - py)
+        rows = np.arange(stop - start)
         valid = denom > 0.0
-        valid[i] = False
-        total += float(
-            np.sum((n - 2) * (pxy[valid] - px[valid] * py[valid]) ** 2 / denom[valid])
-        )
+        valid[rows, start + rows] = False
+        terms = np.divide((n - 2) * (pxy - px * py) ** 2, denom,
+                          out=np.zeros_like(denom), where=valid)
+        # Summed per center in index order: rounding ignores the block size.
+        for center_terms, center_valid in zip(terms, valid):
+            total += float(np.add.reduce(center_terms[center_valid]))
     return total
 
 
-@functools.lru_cache(maxsize=8)
-def _combination_indices(n: int, k: int) -> np.ndarray:
-    idx = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.intp,
-    )
-    idx.setflags(write=False)
-    return idx.reshape(-1, k)
-
-
-def _pattern_matches(xv: np.ndarray, yv: np.ndarray) -> tuple[int, int]:
-    """Count rows whose within-row rank pattern agrees with y (forward) or
-    with -y (backward). Two rank vectors agree exactly when every pairwise
-    order relation, including ties, agrees."""
-    forward = backward = 0
-    step = max(1, 2_000_000 // xv.shape[1] ** 2)
-    for start in range(0, xv.shape[0], step):
-        sx = np.sign(xv[start : start + step, :, None] - xv[start : start + step, None, :])
-        sy = np.sign(yv[start : start + step, :, None] - yv[start : start + step, None, :])
-        forward += int(np.count_nonzero(np.all(sx == sy, axis=(1, 2))))
-        backward += int(np.count_nonzero(np.all(sx == -sy, axis=(1, 2))))
-    return forward, backward
-
-
-def _mr(sample: PairedSample, k: int = 3, seed: int = 0) -> float:
-    """Matching ranks: the share of k-subsequences whose within-subsequence
+def _mr(sample: PairedSample) -> float:
+    """Matching ranks: the share of 3-subsequences whose within-subsequence
     rank pattern agrees forward (with y) or backward (with -y), normalized
     by twice the subsequence count.
 
-    Exact enumeration up to 10^6 subsequences, seeded Monte Carlo with 10^6
-    draws beyond that. Note the scaling: perfectly monotone data matches
-    every subsequence in exactly one direction, so the statistic tops out
-    at 1/2.
+    A triple matches forward when every pair in it agrees in sign: strictly
+    concordant, or identical in both coordinates. Ordering points by
+    "strictly below-left", and identical points by index, makes the matching
+    triples exactly the 3-chains of that order, which number
+    sum_j L(j) U(j) with L(j) and U(j) the points before and after j. The
+    backward count is the same on (x, -y). The count is exact, so perfectly
+    monotone data, which matches every subsequence in exactly one
+    direction, scores exactly 1/2, the maximum.
     """
     n = sample.n
-    if not 2 <= k <= n:
-        raise TooFewSamples(f"matching ranks needs 2 <= k <= n, got k={k}, n={n}")
+    if n < 3:
+        raise TooFewSamples(f"matching ranks needs at least 3 observations, got {n}")
     xs, ys = sample.xs, sample.ys
-    total = math.comb(n, k)
-    if total <= _MR_EXACT_LIMIT:
-        idx = _combination_indices(n, k)
-        draws = total
-    else:
-        rng = child_rng(seed, 0)
-        draws = _MR_EXACT_LIMIT
-        chunks = []
-        remaining = draws
-        while remaining > 0:
-            cand = np.sort(rng.integers(0, n, size=(remaining, k)), axis=1)
-            distinct = np.all(cand[:, 1:] != cand[:, :-1], axis=1)
-            kept = cand[distinct]
-            chunks.append(kept)
-            remaining -= kept.shape[0]
-        idx = np.vstack(chunks)
-    forward, backward = _pattern_matches(xs[idx], ys[idx])
-    return (forward + backward) / (2.0 * draws)
+    index = np.arange(n)
+    forward = backward = 0
+    block = max(1, int(4_000_000 // n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        x_lt = xs[None, :] < xs[start:stop, None]
+        x_gt = xs[None, :] > xs[start:stop, None]
+        y_lt = ys[None, :] < ys[start:stop, None]
+        y_gt = ys[None, :] > ys[start:stop, None]
+        same = (xs[None, :] == xs[start:stop, None]) & (ys[None, :] == ys[start:stop, None])
+        same_before = (same & (index[None, :] < index[start:stop, None])).sum(axis=1)
+        same_after = same.sum(axis=1) - 1 - same_before
+        forward += int(
+            ((x_lt & y_lt).sum(axis=1) + same_before)
+            @ ((x_gt & y_gt).sum(axis=1) + same_after)
+        )
+        backward += int(
+            ((x_lt & y_gt).sum(axis=1) + same_before)
+            @ ((x_gt & y_lt).sum(axis=1) + same_after)
+        )
+    return (forward + backward) / (2.0 * math.comb(n, 3))
 
 
 def _aldg_measure(sample: PairedSample, rule: ThresholdRule | None = None) -> float:
@@ -326,16 +308,15 @@ def measure(kind, sample: PairedSample) -> float:
 def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
     """Rebind the stochastic parts of a measure to a derived seed.
 
-    Deterministic measures are returned unchanged. For aLDG the threshold
-    rule's shuffle seed is replaced; for matching ranks the Monte Carlo seed.
+    aLDG is the only stochastic measure: a shuffle-based threshold rule gets
+    the new seed. Every other measure, and aLDG with a fixed or closed-form
+    threshold, is returned unchanged.
     """
     if kind.tag == "aldg":
         rule = kind.params.get("rule") or ThresholdRule.auto()
         if rule.kind in ("uniform-error", "inflection-point", "auto"):
             return MeasureKind("aldg", {**kind.params, "rule": replace(rule, seed=seed)})
         return kind
-    if kind.tag == "mr":
-        return MeasureKind("mr", {**kind.params, "seed": seed})
     return kind
 
 

@@ -1,5 +1,6 @@
 """The aLDG estimator, threshold rules, avgCSN, and population quantities."""
 
+import importlib
 import math
 
 import numpy as np
@@ -221,6 +222,26 @@ class TestInflectionPointThreshold:
         a = threshold_inflection_point(s, cfg, seed=3)
         assert a == threshold_inflection_point(s, cfg, seed=3)
         assert a >= 0.0
+
+    def test_default_grid_computes_each_shuffle_once(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        s = random_sample(rng, 50)
+        cfg = default_config(s)
+        upper = 2.0 * threshold_uniform_error(s, cfg, n_shuffles=10, seed=4)
+        want = threshold_inflection_point(
+            s, cfg, grid=np.linspace(0.0, upper, 51), n_shuffles=10, seed=4
+        )
+        module = importlib.import_module("depgap.aldg")
+        real = module.t_statistic_at_sample_points
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "t_statistic_at_sample_points", counted)
+        assert threshold_inflection_point(s, cfg, n_shuffles=10, seed=4) == want
+        assert len(calls) == 10
 
     def test_grid_above_all_t_values_degenerates(self):
         rng = np.random.default_rng(55)

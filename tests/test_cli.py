@@ -182,6 +182,13 @@ class TestPairsIo:
         sample = read_pairs(path)
         assert sample.xs.tolist() == [1.0, 3.0]
 
+    def test_headerless_input_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.5,1.0\n1.5,2.0\n2.5,2.5\n3.5,4.0\n")
+        sample = read_pairs(path)
+        assert sample.xs.tolist() == [0.5, 1.5, 2.5, 3.5]
+        assert sample.ys.tolist() == [1.0, 2.0, 2.5, 4.0]
+
     def test_errors(self, tmp_path):
         bad_width = tmp_path / "w.csv"
         bad_width.write_text("x,y\n1,2,3\n")
@@ -270,6 +277,27 @@ class TestMeasureCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_usage_error(self, tmp_path, capsys, threads):
+        path = make_expression_file(tmp_path / "expr.csv")
+        code, out, err = run_cli(
+            capsys, "measure", str(path), "--x-row", "g1", "--y-row", "g2",
+            "--threads", threads,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        path = make_expression_file(tmp_path / "expr.csv")
+        monkeypatch.setenv("DEPGAP_SEED", "abc")
+        code, out, err = run_cli(
+            capsys, "measure", str(path), "--x-row", "g1", "--y-row", "g2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "DEPGAP_SEED" in err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depgap import (
     MEASURE_TAGS,
@@ -63,8 +65,9 @@ class TestRegistry:
             MeasureKind("mutual-information")
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(UnknownMeasure):
-            MeasureKind("pearson", {"width": 1.0})
+        for tag, params in (("pearson", {"width": 1.0}), ("mr", {"seed": 1}), ("mr", {"k": 3})):
+            with pytest.raises(UnknownMeasure):
+                MeasureKind(tag, params)
 
     def test_string_and_kind_agree(self):
         assert measure("pearson", LINE) == measure(MeasureKind("pearson"), LINE)
@@ -201,6 +204,32 @@ class TestHhg:
             measure("hhg", PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
 
 
+# Value pools for matching-ranks inputs: ties on a lattice and on a coarse
+# grid, signed zeros, and magnitudes at the ends of the float range.
+_MR_POOLS = {
+    "lattice": st.integers(0, 2).map(float),
+    "tied": st.sampled_from([-1.5, -0.1, 0.1, 1.5]),
+    "signed-zero": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+    "extreme": st.sampled_from(
+        [-1.7976931348623157e308, -1e300, -5e-324, 0.0, 5e-324, 1e300, 1.7976931348623157e308]
+    ),
+}
+
+
+@st.composite
+def mr_inputs(draw):
+    n = draw(st.integers(3, 9))
+    pool = _MR_POOLS[draw(st.sampled_from(sorted(_MR_POOLS)))]
+    xs = draw(st.lists(pool, min_size=n, max_size=n))
+    ys = draw(st.lists(pool, min_size=n, max_size=n))
+    constant = draw(st.sampled_from(["neither", "x", "y"]))
+    if constant == "x":
+        xs = [xs[0]] * n
+    elif constant == "y":
+        ys = [ys[0]] * n
+    return xs, ys
+
+
 class TestMatchingRanks:
     def test_matches_brute_exact_path(self):
         rng = np.random.default_rng(103)
@@ -210,6 +239,29 @@ class TestMatchingRanks:
                 mr_brute(s.xs.tolist(), s.ys.tolist(), 3), rel=1e-12
             )
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(mr_inputs())
+    def test_equals_brute_on_ties_and_extremes(self, inputs):
+        xs, ys = inputs
+        assert measure("mr", PairedSample(xs, ys)) == mr_brute(xs, ys, 3)
+
+    def test_large_lattice_equals_triangle_count(self):
+        # Matching triples are the triangles of the graph joining two points
+        # whose x and y order relations agree, ties included.
+        rng = np.random.default_rng(105)
+        n = 250
+        xs = rng.integers(0, 6, n).astype(float)
+        ys = rng.integers(0, 6, n).astype(float)
+
+        def triangles(y):
+            agree = np.sign(xs[:, None] - xs[None, :]) == np.sign(y[:, None] - y[None, :])
+            adjacency = agree.astype(np.int64)
+            np.fill_diagonal(adjacency, 0)
+            return int(np.trace(np.linalg.matrix_power(adjacency, 3))) // 6
+
+        want = (triangles(ys) + triangles(-ys)) / (2.0 * math.comb(n, 3))
+        assert measure("mr", PairedSample(xs, ys)) == want
+
     def test_monotone_data_scores_one_half(self):
         # Perfectly monotone data matches every subsequence in exactly one
         # direction, so the normalized statistic caps at 1/2.
@@ -218,22 +270,9 @@ class TestMatchingRanks:
         assert measure("mr", PairedSample(xs, 2.0 * xs)) == 0.5
         assert measure("mr", PairedSample(xs, -xs)) == 0.5
 
-    def test_monte_carlo_path_is_seeded(self):
-        rng = np.random.default_rng(105)
-        s = random_sample(rng, 250)
-        a = measure(MeasureKind("mr", {"seed": 1}), s)
-        b = measure(MeasureKind("mr", {"seed": 1}), s)
-        c = measure(MeasureKind("mr", {"seed": 2}), s)
-        assert a == b
-        assert a != c
-
-    def test_k_bounds(self):
-        rng = np.random.default_rng(106)
-        s = random_sample(rng, 5)
+    def test_needs_three_observations(self):
         with pytest.raises(TooFewSamples):
-            measure(MeasureKind("mr", {"k": 1}), s)
-        with pytest.raises(TooFewSamples):
-            measure(MeasureKind("mr", {"k": 6}), s)
+            measure("mr", PairedSample([1.0, 2.0], [1.0, 2.0]))
 
 
 class TestLocalDensityFamily:
@@ -266,13 +305,10 @@ class TestKindWithSeed:
         base = MeasureKind("aldg", {"rule": ThresholdRule.fixed(0.2)})
         assert kind_with_seed(base, 77) is base
 
-    def test_mr_gets_seed(self):
-        kind = kind_with_seed(MeasureKind("mr"), 5)
-        assert kind.params["seed"] == 5
-
     def test_deterministic_measures_unchanged(self):
-        base = MeasureKind("pearson")
-        assert kind_with_seed(base, 123) is base
+        for tag in ("pearson", "mr"):
+            base = MeasureKind(tag)
+            assert kind_with_seed(base, 123) is base
 
 
 class TestBoundedScales:
