@@ -19,10 +19,14 @@ from .kde import (
     GaussianSpec,
     KdeConfig,
     PairedSample,
+    _gap,
     _gaussian_densities,
     default_config,
     t_statistic_at_sample_points,
+    t_statistic_population,
+    window_counts,
 )
+from .synth import gaussian_pair
 
 RULE_KINDS = ("fixed", "uniform-error", "asymptotic-norm", "inflection-point", "auto")
 
@@ -30,6 +34,13 @@ RULE_KINDS = ("fixed", "uniform-error", "asymptotic-norm", "inflection-point", "
 def default_n_shuffles(n: int) -> int:
     """Number of random shuffles used by the shuffle-based threshold rules."""
     return max(1000 // n, 5)
+
+
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 5 or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing with >= 5 points")
+    return grid
 
 
 @dataclass
@@ -59,9 +70,7 @@ class ThresholdRule:
         if self.n_shuffles is not None and self.n_shuffles < 1:
             raise ValueError("n_shuffles must be at least 1")
         if self.grid is not None:
-            self.grid = np.asarray(self.grid, dtype=float)
-            if self.grid.size < 5 or not np.all(np.diff(self.grid) > 0):
-                raise ValueError("grid must be strictly increasing with >= 5 points")
+            self.grid = _checked_grid(self.grid)
 
     @classmethod
     def fixed(cls, t: float) -> "ThresholdRule":
@@ -167,9 +176,7 @@ def threshold_inflection_point(
     grid's upper end comes from the same shuffles as the curves.
     """
     if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if grid.size < 5 or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing with >= 5 points")
+        grid = _checked_grid(grid)
     t_arrays = _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads)
     if grid is None:
         upper = 2.0 * _median_of_maxima(t_arrays)
@@ -264,28 +271,18 @@ def avgcsn(
         raise ValueError("alpha must lie in (0, 1)")
     if cfg is None:
         cfg = default_config(sample)
-    xs, ys = sample.xs, sample.ys
+    nx, ny, nxy = window_counts(sample, cfg)
     n = sample.n
     z = float(ndtri(1.0 - alpha))
-    hits = 0
-    block = max(1, int(4_000_000 // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        in_x = np.abs(xs[start:stop, None] - xs[None, :]) <= cfg.h_x
-        in_y = np.abs(ys[start:stop, None] - ys[None, :]) <= cfg.h_y
-        nx = in_x.sum(axis=1)
-        ny = in_y.sum(axis=1)
-        nxy = (in_x & in_y).sum(axis=1)
-        denom = nx * ny * (n - nx) * (n - ny)
-        ok = denom > 0
-        s = np.zeros(stop - start)
-        s[ok] = (
-            math.sqrt(n)
-            * (nxy[ok] * n - nx[ok] * ny[ok])
-            / np.sqrt(denom[ok].astype(float))
-        )
-        hits += int(np.count_nonzero(ok & (s > z)))
-    return hits / n
+    denom = nx * ny * (n - nx) * (n - ny)
+    ok = denom > 0
+    s = np.zeros(n)
+    s[ok] = (
+        math.sqrt(n)
+        * (nxy[ok] * n - nx[ok] * ny[ok])
+        / np.sqrt(denom[ok].astype(float))
+    )
+    return int(np.count_nonzero(ok & (s > z))) / n
 
 
 def population_aldg_gaussian(
@@ -298,14 +295,8 @@ def population_aldg_gaussian(
     """
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z1 = rng.standard_normal(n_mc)
-    z2 = rng.standard_normal(n_mc)
-    qx = spec.mu_x + spec.sigma_x * z1
-    qy = spec.mu_y + spec.sigma_y * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)
-    fx, fy, fxy = _gaussian_densities(spec, qx, qy)
-    tvals = (fxy - fx * fy) / np.sqrt(fx * fy)
-    return float(np.mean(tvals > t))
+    draw = gaussian_pair(spec, n_mc, seed)
+    return float(np.mean(t_statistic_population(spec, draw.xs, draw.ys) > t))
 
 
 def influence_approx(
@@ -327,14 +318,10 @@ def influence_approx(
     """
     if not 0.0 < eps <= 0.01:
         raise ValueError("eps must lie in (0, 0.01]")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z1 = rng.standard_normal(n_mc)
-    z2 = rng.standard_normal(n_mc)
-    qx = spec.mu_x + spec.sigma_x * z1
-    qy = spec.mu_y + spec.sigma_y * (spec.rho * z1 + math.sqrt(1.0 - spec.rho**2) * z2)
-    fx, fy, fxy = _gaussian_densities(spec, qx, qy)
+    draw = gaussian_pair(spec, n_mc, seed)
+    fx, fy, fxy = _gaussian_densities(spec, draw.xs, draw.ys)
     root = np.sqrt(fx * fy)
-    tvals = (fxy - fx * fy) / root
+    tvals = _gap(fx, fy, fxy)
     base = float(np.mean(tvals > t))
     contaminated = eps + (1.0 - eps) * float(np.mean(tvals + eps * root > t))
     return (contaminated - base) / eps

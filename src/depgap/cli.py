@@ -29,7 +29,7 @@ from .errors import (
 from .experiments import EXPERIMENTS, write_report
 from .inference import permutation_test
 from .kde import PairedSample
-from .measures import MEASURE_TAGS, MeasureKind, kind_with_seed, measure, pairwise_matrix
+from .measures import MEASURE_TAGS, MeasureKind, measure, pairwise_matrix
 from .synth import SynthSpec, generate
 
 
@@ -76,7 +76,8 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
     The first row holds cell ids (its first field is ignored), the first
     column holds gene ids, and every remaining field must be a finite
     number; missing or malformed fields raise ParseError with the 1-based
-    row and column. transform="log2cpm1" scales every column to a million
+    row and column, and a repeated gene id raises ParseError at the row of
+    its second occurrence. transform="log2cpm1" scales every column to a million
     total counts and then applies log2(x + 1); a column summing to zero
     raises ZeroLibrarySize.
     """
@@ -94,7 +95,7 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
         raise ParseError("header must name at least one cell", row=1)
     cell_ids = [h.strip() for h in header[1:]]
 
-    gene_ids = []
+    first_rows = {}
     rows = []
     for r, line in enumerate(lines[1:], start=2):
         if line.strip() == "":
@@ -104,7 +105,12 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
             raise DimensionMismatch(
                 f"row {r} has {len(fields)} fields, expected {len(header)}"
             )
-        gene_ids.append(fields[0].strip())
+        gene_id = fields[0].strip()
+        if gene_id in first_rows:
+            raise ParseError(
+                f"duplicate gene id {gene_id!r}, first seen on row {first_rows[gene_id]}", row=r
+            )
+        first_rows[gene_id] = r
         parsed = []
         for c, text in enumerate(fields[1:], start=2):
             text = text.strip()
@@ -128,7 +134,7 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
         if dead.size:
             raise ZeroLibrarySize(f"column {cell_ids[dead[0]]!r} sums to zero")
         values = np.log2(values / sums * 1e6 + 1.0)
-    return ExpressionMatrix(gene_ids, cell_ids, values)
+    return ExpressionMatrix(list(first_rows), cell_ids, values)
 
 
 def write_expression(matrix: ExpressionMatrix, path, format: str = "csv") -> None:
@@ -176,14 +182,14 @@ def write_pairs(sample: PairedSample, path) -> None:
 
 def _resolve_seed(flag_value, fallback: int = 0) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        return flag_value
     env = os.environ.get("DEPGAP_SEED")
     if env is None:
         return fallback
     try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"DEPGAP_SEED must be an integer, got {env!r}") from None
+        return _int_at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"DEPGAP_SEED: {exc}") from None
 
 
 def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
@@ -203,7 +209,7 @@ def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
 def _measure_kind(args, seed: int) -> MeasureKind:
     if args.measure == "aldg":
         return MeasureKind("aldg", {"rule": _make_rule(args.threshold_rule, args.t, seed)})
-    return kind_with_seed(MeasureKind(args.measure), seed)
+    return MeasureKind(args.measure)
 
 
 def cmd_measure(args) -> int:
@@ -227,7 +233,7 @@ def cmd_measure(args) -> int:
     else:
         payload = {
             "measure": args.measure,
-            "value": measure(kind_with_seed(MeasureKind(args.measure), seed), sample),
+            "value": measure(args.measure, sample),
         }
     payload["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     print(json.dumps(payload, sort_keys=True))
@@ -367,20 +373,23 @@ def _add_measure_flags(p):
     p.add_argument("--t", type=float, default=None, help="threshold for the fixed rule")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_common_flags(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="random seed (default: DEPGAP_SEED env var, else 0)")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -751,6 +751,9 @@ def run_robustness(
     return ExperimentReport("robustness", ["series", "trial", "value"], rows, meta)
 
 
+MIN_TIMED_SECONDS = 0.5
+
+
 def run_timing(
     n_grid: Sequence[int] = (100, 200, 400, 800),
     kinds: Sequence = ("aldg", "hhg"),
@@ -760,10 +763,12 @@ def run_timing(
 ) -> ExperimentReport:
     """Wall-clock scaling of measures with sample size on one core.
 
-    For each n a correlated Gaussian dataset is drawn once; each measure is
-    evaluated `repeats` times after a warmup call and the minimum wall time
-    is kept. aLDG is timed under the asymptotic-norm threshold so the same
-    algorithm runs at every n. The metadata records the fitted log-log
+    For each n a correlated Gaussian dataset is drawn once; after a warmup
+    call each measure is evaluated at least `repeats` times and for at least
+    MIN_TIMED_SECONDS, and the minimum wall time is kept, so the minimum of
+    a sub-millisecond call does not rest on a few calls that a slowed host
+    inflates alike. aLDG is timed under the asymptotic-norm threshold so the
+    same algorithm runs at every n. The metadata records the fitted log-log
     slope per measure. Runs sequentially; `threads` is ignored so timings
     are not distorted by contention.
     """
@@ -786,11 +791,12 @@ def run_timing(
         for tag in tags:
             fn = evaluator(tag)
             fn(data)
-            best = math.inf
-            for _ in range(repeats):
+            best, calls, deadline = math.inf, 0, time.perf_counter() + MIN_TIMED_SECONDS
+            while calls < repeats or time.perf_counter() < deadline:
                 t0 = time.perf_counter()
                 fn(data)
                 best = min(best, time.perf_counter() - t0)
+                calls += 1
             best = max(best, 1e-9)
             seconds_by_tag[tag].append(best)
             rows.append([tag, n, best, math.log10(n), math.log10(best)])

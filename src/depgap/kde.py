@@ -140,34 +140,50 @@ def t_statistic_empirical(
         raise ZeroMarginalDensity(
             f"no sample mass around query ({qx}, {qy}); T is undefined there"
         )
-    fxy = joint_density(sample, cfg, qx, qy)
-    return (fxy - fx * fy) / np.sqrt(fx * fy)
+    return _gap(fx, fy, joint_density(sample, cfg, qx, qy))
+
+
+def window_counts(sample: PairedSample, cfg: KdeConfig):
+    """Closed boxcar window counts (cx, cy, cxy) at every sample point.
+
+    cx[j] counts the points k with |x_j - x_k| <= h_x, cy[j] likewise on y,
+    and cxy[j] the points inside both windows, j itself included. Queries
+    are processed in blocks to keep the n x n indicator workspace bounded.
+    """
+    xs, ys = sample.xs, sample.ys
+    n = sample.n
+    cx = np.empty(n, dtype=np.int64)
+    cy = np.empty(n, dtype=np.int64)
+    cxy = np.empty(n, dtype=np.int64)
+    block = max(1, int(4_000_000 // n))
+    for start in range(0, n, block):
+        stop = start + block
+        in_x = np.abs(xs[start:stop, None] - xs[None, :]) <= cfg.h_x
+        in_y = np.abs(ys[start:stop, None] - ys[None, :]) <= cfg.h_y
+        in_x.sum(axis=1, out=cx[start:stop])
+        in_y.sum(axis=1, out=cy[start:stop])
+        (in_x & in_y).sum(axis=1, out=cxy[start:stop])
+    return cx, cy, cxy
 
 
 def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.ndarray:
     """Gap statistic T evaluated at every sample point, as a length-n array.
 
     Self-inclusion of the boxcar window guarantees both marginals are
-    positive at sample points, so the result is always finite. Queries are
-    processed in blocks to keep the n x n indicator workspace bounded.
+    positive at sample points, so the result is always finite.
     """
-    xs, ys = sample.xs, sample.ys
+    cx, cy, cxy = window_counts(sample, cfg)
     n = sample.n
-    out = np.empty(n, dtype=float)
-    block = max(1, int(4_000_000 // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        in_x = np.abs(xs[start:stop, None] - xs[None, :]) <= cfg.h_x
-        in_y = np.abs(ys[start:stop, None] - ys[None, :]) <= cfg.h_y
-        cx = in_x.sum(axis=1)
-        cy = in_y.sum(axis=1)
-        cxy = (in_x & in_y).sum(axis=1)
-        fx = cx / (2.0 * cfg.h_x) / n
-        fy = cy / (2.0 * cfg.h_y) / n
-        # Same denominator grouping as joint_density: swap-symmetric bits.
-        fxy = cxy / ((2.0 * cfg.h_x) * (2.0 * cfg.h_y)) / n
-        out[start:stop] = (fxy - fx * fy) / np.sqrt(fx * fy)
-    return out
+    fx = cx / (2.0 * cfg.h_x) / n
+    fy = cy / (2.0 * cfg.h_y) / n
+    # Same denominator grouping as joint_density: swap-symmetric bits.
+    fxy = cxy / ((2.0 * cfg.h_x) * (2.0 * cfg.h_y)) / n
+    return _gap(fx, fy, fxy)
+
+
+def _gap(fx, fy, fxy):
+    # The one place the T formula is written; scalars or arrays alike.
+    return (fxy - fx * fy) / np.sqrt(fx * fy)
 
 
 def _gaussian_densities(spec: GaussianSpec, qx, qy):
@@ -188,8 +204,7 @@ def _gaussian_densities(spec: GaussianSpec, qx, qy):
 
 def t_statistic_population(spec: GaussianSpec, qx, qy):
     """Closed-form T for a bivariate Gaussian; vectorizes over query arrays."""
-    fx, fy, fxy = _gaussian_densities(spec, qx, qy)
-    t = (fxy - fx * fy) / np.sqrt(fx * fy)
+    t = _gap(*_gaussian_densities(spec, qx, qy))
     if np.ndim(t) == 0:
         return float(t)
     return t

@@ -7,6 +7,7 @@ family (aLDG, avgCSN, mean-T), so tests and batch drivers can treat them
 uniformly.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,37 +19,10 @@ from .aldg import ThresholdRule, aldg, avgcsn, mean_t
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
 from .kde import PairedSample
 
-MEASURE_TAGS = (
-    "pearson",
-    "spearman",
-    "kendall",
-    "hoeffd",
-    "dcor",
-    "hsic",
-    "hhg",
-    "mr",
-    "aldg",
-    "avgcsn",
-    "mean-t",
-)
-
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
 SIGNED_TAGS = ("pearson", "spearman", "kendall")
 
-_ALLOWED_PARAMS = {
-    "pearson": set(),
-    "spearman": set(),
-    "kendall": set(),
-    "hoeffd": set(),
-    "dcor": set(),
-    "hsic": {"width"},
-    "hhg": set(),
-    "mr": set(),
-    "aldg": {"rule"},
-    "avgcsn": {"alpha"},
-    "mean-t": set(),
-}
 
 @dataclass
 class MeasureKind:
@@ -292,6 +266,13 @@ _IMPLS = {
     "aldg": _aldg_measure,
     "avgcsn": _avgcsn_measure,
     "mean-t": _mean_t_measure,
+}
+
+# The registry order is the CLI's choice order and the experiments' column
+# order; a measure's parameters are its implementation's keywords.
+MEASURE_TAGS = tuple(_IMPLS)
+_ALLOWED_PARAMS = {
+    tag: set(inspect.signature(impl).parameters) - {"sample"} for tag, impl in _IMPLS.items()
 }
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from depgap import (
@@ -22,6 +24,7 @@ from depgap import (
     influence_approx,
     mean_t,
     population_aldg_gaussian,
+    t_statistic_at_sample_points,
     threshold_asymptotic_norm,
     threshold_inflection_point,
     threshold_uniform_error,
@@ -329,6 +332,38 @@ class TestAvgcsn:
             avgcsn(DIAG, UNIT, alpha=0.0)
         with pytest.raises(ValueError):
             avgcsn(DIAG, UNIT, alpha=1.0)
+
+
+@st.composite
+def lattice_inputs(draw):
+    # Integer coordinates with bandwidths 0.5, 1 or 2: neighbours sit exactly
+    # on a window edge, and the window areas are powers of two, so the
+    # densities and T carry the same bits as the oracle's.
+    n = draw(st.integers(2, 9))
+    coords = st.lists(st.integers(-3, 3).map(float), min_size=n, max_size=n)
+    widths = st.sampled_from([0.5, 1.0, 2.0])
+    return draw(coords), draw(coords), KdeConfig(draw(widths), draw(widths))
+
+
+class TestLatticeWindowEdges:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(lattice_inputs())
+    def test_local_density_family_matches_brute(self, inputs):
+        xs, ys, cfg = inputs
+        s = PairedSample(xs, ys)
+        hx, hy = cfg.h_x, cfg.h_y
+        brute_t = t_values_brute(xs, ys, hx, hy)
+        np.testing.assert_allclose(
+            t_statistic_at_sample_points(s, cfg), brute_t, rtol=1e-12, atol=1e-13
+        )
+        # Thresholds equal to a T value test the closed inequality.
+        for t in {0.0, 0.1, *(v for v in brute_t if v >= 0)}:
+            assert aldg_fixed_t(s, cfg, t) == aldg_fixed_brute(xs, ys, hx, hy, t)
+        assert mean_t(s, cfg) == pytest.approx(
+            mean_t_brute(xs, ys, hx, hy), rel=1e-12, abs=1e-13
+        )
+        for alpha in (0.01, 0.2):
+            assert avgcsn(s, cfg, alpha=alpha) == avgcsn_brute(xs, ys, hx, hy, alpha)
 
 
 class TestPopulationAldg:

@@ -65,6 +65,13 @@ class TestIngest:
         assert table.cell_ids[0] == "c0" and len(table.cell_ids) == 30
         assert table.values.shape == (4, 30)
 
+    def test_duplicate_gene_id(self, tmp_path):
+        path = tmp_path / "expr.csv"
+        path.write_text("gene,c1,c2\ng,1,2\nh,3,4\n\ng,5,6\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert "'g'" in str(exc.value) and "row 5" in str(exc.value)
+
     def test_row_lookup(self, tmp_path):
         table = ingest(make_expression_file(tmp_path / "expr.csv"))
         assert np.array_equal(table.row("g2"), table.values[1])
@@ -277,6 +284,11 @@ class TestMeasureCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
+        code, out, err = run_cli(
+            capsys, "measure", str(path), "--x-row", "g1", "--y-row", "g2", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == "" and "--seed" in err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_threads_is_usage_error(self, tmp_path, capsys, threads):
@@ -291,13 +303,15 @@ class TestMeasureCommand:
 
     def test_non_integer_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
         path = make_expression_file(tmp_path / "expr.csv")
-        monkeypatch.setenv("DEPGAP_SEED", "abc")
-        code, out, err = run_cli(
-            capsys, "measure", str(path), "--x-row", "g1", "--y-row", "g2"
-        )
-        assert code == 2
-        assert out == ""
-        assert "DEPGAP_SEED" in err
+        # A negative seed is as unusable as a non-integer one.
+        for value in ("abc", "-1"):
+            monkeypatch.setenv("DEPGAP_SEED", value)
+            code, out, err = run_cli(
+                capsys, "measure", str(path), "--x-row", "g1", "--y-row", "g2"
+            )
+            assert code == 2
+            assert out == ""
+            assert "DEPGAP_SEED" in err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
