@@ -18,10 +18,13 @@ from .errors import DegenerateCurve, TooFewSamples
 from .kde import (
     GaussianSpec,
     KdeConfig,
+    Margin,
     PairedSample,
     _gap,
     _gaussian_densities,
     default_config,
+    joint_counts,
+    t_from_counts,
     t_statistic_at_sample_points,
     t_statistic_population,
     window_counts,
@@ -121,17 +124,20 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
     return float(ndtri(1.0 - 1.0 / n)) / (math.sqrt(sigma_x * sigma_y) * n ** (1.0 / 3.0))
 
 
-def _shuffled_t_values(sample: PairedSample, cfg: KdeConfig, seed: int, index: int):
-    rng = child_rng(seed, index)
-    shuffled = PairedSample(sample.xs, rng.permutation(sample.ys))
-    return t_statistic_at_sample_points(shuffled, cfg)
+def _shuffled_t_values(mx: Margin, my: Margin, cfg: KdeConfig, seed: int, index: int):
+    # T on (xs, ys[perm]): the shuffled y margin is my permuted, so only the
+    # joint count is new.
+    shuffled = my.permuted(child_rng(seed, index).permutation(my.rank.size))
+    return t_from_counts(mx.counts, shuffled.counts, joint_counts(mx, shuffled), cfg)
 
 
 def _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads) -> list:
     if n_shuffles is None:
         n_shuffles = default_n_shuffles(sample.n)
+    mx = Margin.of(sample.xs, cfg.h_x)
+    my = Margin.of(sample.ys, cfg.h_y)
     return ordered_map(
-        lambda index: _shuffled_t_values(sample, cfg, seed, index),
+        lambda index: _shuffled_t_values(mx, my, cfg, seed, index),
         range(n_shuffles),
         threads,
     )

@@ -273,7 +273,12 @@ def cmd_matrix(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    seed = _resolve_seed(args.seed, fallback=int(doc.get("seed", 0)))
+    try:
+        # str() so that a JSON float or boolean is refused, not truncated.
+        spec_seed = _int_at_least(0)(str(doc.get("seed", 0)))
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"spec field 'seed': {exc}") from None
+    seed = _resolve_seed(args.seed, fallback=spec_seed)
     doc["seed"] = seed
     spec = SynthSpec.from_dict(doc)
     sample = generate(spec)

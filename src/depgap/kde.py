@@ -11,9 +11,27 @@ always counts the point itself. The gap statistic at a point (qx, qy) is
 
 with either the boxcar plug-in densities (empirical variant) or closed-form
 bivariate Gaussian densities (population variant).
+
+At the sample points everything rests on three closed window counts per
+point, (cx, cy, cxy), which `window_counts` finds without an n x n pass:
+
+- On one axis a window is a contiguous run of the sorted values: q - x
+  rounds to a value non-increasing in x, so the x with |q - x| <= h form
+  one run around q. searchsorted on the rounded q -+ h finds its edges up
+  to the values that rounding decides, and each edge is then stepped, a run
+  of ties at a time, until it agrees with |q - x| <= h itself (`Margin`).
+- cxy counts the points whose x rank and y rank fall in both runs, a
+  rectangle in rank space: a prefix table over blocks of about sqrt(n) x
+  ranks plus a scan of at most one block per edge (`joint_counts`). The
+  table grows its blocks to stay within about _WORKSPACE elements and the
+  scans run in chunks, so memory stays bounded for every n.
+- Shuffling y permutes its margin and keeps every window, so a y-shuffle
+  costs one joint count.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,27 +161,143 @@ def t_statistic_empirical(
     return _gap(fx, fy, joint_density(sample, cfg, qx, qy))
 
 
+# Elements allowed in the joint count's prefix table, which bounds memory,
+# and in one chunk of its block scans, sized to stay in cache.
+_WORKSPACE = 4_000_000
+_SCAN_CHUNK = 1 << 15
+
+
+@dataclass(frozen=True, eq=False)
+class Margin:
+    """One axis of a sample with the closed boxcar window of every point.
+
+    rank[k] is the position of point k in sorted order, and the points j with
+    |v_k - v_j| <= h are exactly those at sorted positions [lo[k], hi[k]).
+    Windows hold whole runs of tied values, so any ranking that sorts the
+    values serves; `permuted` relies on that.
+    """
+
+    rank: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray, h: float) -> "Margin":
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        rank = np.empty(values.size, dtype=np.intp)
+        rank[order] = np.arange(values.size)
+        # q - x rounds to a value non-increasing in x, so "x lies left of
+        # q's window" (q - x > h) and "x does not lie right of it"
+        # (q - x >= -h) each hold on a prefix of the sorted values, and each
+        # edge is that prefix's length.
+        lo = _prefix_length(ordered, values, ordered.searchsorted(values - h, "left"),
+                            lambda d: d > h)
+        hi = _prefix_length(ordered, values, ordered.searchsorted(values + h, "right"),
+                            lambda d: d >= -h)
+        return cls(rank, lo, hi)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    def permuted(self, perm) -> "Margin":
+        """The margin of values[perm]; every point keeps its own window."""
+        return Margin(self.rank[perm], self.lo[perm], self.hi[perm])
+
+    @cached_property
+    def blocks(self):
+        """The x side of `joint_counts`, kept across y-shuffles.
+
+        The block size, each point's cell in the prefix table (its y rank
+        still to add), and the block and offset of each window edge.
+        """
+        n = self.rank.size
+        # sqrt(n) balances the table (n^2 / block) against the scans (n * block).
+        block = max(math.isqrt(n), -(-n * (n + 1) // _WORKSPACE))
+        cells = self.rank // block * (n + 1) + (n + 2)
+        return block, cells, *np.divmod(np.concatenate((self.hi, self.lo)).reshape(2, n), block)
+
+
+def _prefix_length(ordered, q, edge, holds):
+    # searchsorted on the rounded q -+ h can put an edge off by the values
+    # that rounding decides. Step it across whole runs of ties until the
+    # value before it satisfies holds(q - x) and the value at it does not.
+    n = ordered.size
+    todo = np.arange(q.size)
+    while True:
+        e, d = edge[todo], q[todo]
+        at, before = ordered[np.minimum(e, n - 1)], ordered[e - 1]
+        up = (e < n) & holds(d - at)
+        down = (e > 0) & ~holds(d - before)
+        moved = up | down
+        if not moved.any():
+            return edge
+        e[up] = ordered.searchsorted(at[up], "right")
+        e[down] = ordered.searchsorted(before[down], "left")
+        todo = todo[moved]
+        edge[todo] = e[moved]
+
+
+def joint_counts(mx: Margin, my: Margin) -> np.ndarray:
+    """Points inside both windows of every point, from two margins.
+
+    With y_at[p] the y rank of the point at x rank p, the count for point k
+    is #{p in [mx.lo[k], mx.hi[k]) : my.lo[k] <= y_at[p] < my.hi[k]}, a
+    rank rectangle. F(a, b) = #{p < a : y_at[p] < b} splits into a prefix
+    table over whole blocks of x ranks and a scan of at most one block.
+    """
+    n = mx.rank.size
+    block, cells, corner_block, corner_rest = mx.blocks
+    rows = n // block + 1
+    y_at = np.full(rows * block, -1, dtype=np.intp)
+    y_at[mx.rank] = my.rank
+    # table[m, b] = #{p < m * block : y_at[p] < b}
+    table = np.zeros((rows + 1, n + 1), dtype=np.intp)
+    table.reshape(-1)[cells + my.rank] = 1
+    table.cumsum(axis=0, out=table)
+    table.cumsum(axis=1, out=table)
+    # y_cols[t, m] = y_at[m * block + t]
+    y_cols = y_at.reshape(rows, block).T
+    offsets = np.arange(block)[:, None, None]
+    cxy = np.empty(n, dtype=np.int64)
+    chunk = max(1, _SCAN_CHUNK // (2 * block))
+    for start in range(0, n, chunk):
+        part = slice(start, start + chunk)
+        m, rest = corner_block[:, part], corner_rest[:, part]
+        b_lo, b_hi = my.lo[part], my.hi[part]
+        # lo <= y < hi as one unsigned comparison; the -1 padding wraps high.
+        scan = (y_cols[:, m] - b_lo).view(np.uintp)
+        hits = (scan < (b_hi - b_lo).view(np.uintp)) & (offsets < rest)
+        f = table[m, b_hi] - table[m, b_lo] + hits.sum(axis=0)
+        cxy[part] = f[0] - f[1]
+    return cxy
+
+
 def window_counts(sample: PairedSample, cfg: KdeConfig):
     """Closed boxcar window counts (cx, cy, cxy) at every sample point.
 
     cx[j] counts the points k with |x_j - x_k| <= h_x, cy[j] likewise on y,
-    and cxy[j] the points inside both windows, j itself included. Queries
-    are processed in blocks to keep the n x n indicator workspace bounded.
+    and cxy[j] the points inside both windows, j itself included. Each axis
+    is sorted once; a window is a contiguous run of the sorted values, since
+    x_j - x_k rounds monotonically in x_k, and its searchsorted edges are
+    repaired against |x_j - x_k| <= h_x where rounding decides (`Margin`).
+    cxy is a rectangle count in rank space (`joint_counts`) whose
+    temporaries stay within a fixed number of elements for every n.
     """
-    xs, ys = sample.xs, sample.ys
-    n = sample.n
-    cx = np.empty(n, dtype=np.int64)
-    cy = np.empty(n, dtype=np.int64)
-    cxy = np.empty(n, dtype=np.int64)
-    block = max(1, int(4_000_000 // n))
-    for start in range(0, n, block):
-        stop = start + block
-        in_x = np.abs(xs[start:stop, None] - xs[None, :]) <= cfg.h_x
-        in_y = np.abs(ys[start:stop, None] - ys[None, :]) <= cfg.h_y
-        in_x.sum(axis=1, out=cx[start:stop])
-        in_y.sum(axis=1, out=cy[start:stop])
-        (in_x & in_y).sum(axis=1, out=cxy[start:stop])
-    return cx, cy, cxy
+    mx = Margin.of(sample.xs, cfg.h_x)
+    my = Margin.of(sample.ys, cfg.h_y)
+    return mx.counts, my.counts, joint_counts(mx, my)
+
+
+def t_from_counts(cx, cy, cxy, cfg: KdeConfig) -> np.ndarray:
+    """Gap statistic T at sample points from their closed window counts."""
+    n = cx.size
+    fx = cx / (2.0 * cfg.h_x) / n
+    fy = cy / (2.0 * cfg.h_y) / n
+    # Same denominator grouping as joint_density: swap-symmetric bits.
+    fxy = cxy / ((2.0 * cfg.h_x) * (2.0 * cfg.h_y)) / n
+    return _gap(fx, fy, fxy)
 
 
 def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.ndarray:
@@ -172,13 +306,7 @@ def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.nda
     Self-inclusion of the boxcar window guarantees both marginals are
     positive at sample points, so the result is always finite.
     """
-    cx, cy, cxy = window_counts(sample, cfg)
-    n = sample.n
-    fx = cx / (2.0 * cfg.h_x) / n
-    fy = cy / (2.0 * cfg.h_y) / n
-    # Same denominator grouping as joint_density: swap-symmetric bits.
-    fxy = cxy / ((2.0 * cfg.h_x) * (2.0 * cfg.h_y)) / n
-    return _gap(fx, fy, fxy)
+    return t_from_counts(*window_counts(sample, cfg), cfg)
 
 
 def _gap(fx, fy, fxy):

@@ -234,15 +234,16 @@ class TestInflectionPointThreshold:
         want = threshold_inflection_point(
             s, cfg, grid=np.linspace(0.0, upper, 51), n_shuffles=10, seed=4
         )
+        # A shuffle reuses both margins and costs one joint count.
         module = importlib.import_module("depgap.aldg")
-        real = module.t_statistic_at_sample_points
+        real = module.joint_counts
         calls = []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(module, "t_statistic_at_sample_points", counted)
+        monkeypatch.setattr(module, "joint_counts", counted)
         assert threshold_inflection_point(s, cfg, n_shuffles=10, seed=4) == want
         assert len(calls) == 10
 

@@ -433,6 +433,16 @@ class TestSimulateCommand:
         assert flagged.read_bytes() == enved.read_bytes()
         assert flagged.read_bytes() != specced.read_bytes()
 
+    @pytest.mark.parametrize("bad", [-1, "abc", 1.5])
+    def test_bad_spec_seed_is_parse_error(self, tmp_path, capsys, bad):
+        spec_path = self.write_spec(tmp_path / "spec.json", seed=bad)
+        code, _, err = run_cli(
+            capsys, "simulate", "--spec", str(spec_path),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert "spec field 'seed'" in err and "Error" not in err
+
     def test_bad_family_is_runtime_error(self, tmp_path, capsys):
         spec_path = self.write_spec(tmp_path / "spec.json", family="helix", params={})
         code, _, err = run_cli(

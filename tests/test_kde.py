@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depgap import (
     DimensionMismatch,
@@ -21,6 +23,8 @@ from depgap import (
     t_statistic_empirical,
     t_statistic_population,
 )
+from depgap import kde
+from depgap.kde import Margin, joint_counts, window_counts
 from oracles import (
     gaussian_t_brute,
     joint_density_brute,
@@ -210,7 +214,7 @@ class TestTStatisticAtSamplePoints:
             assert np.allclose(got, brute, rtol=1e-12, atol=1e-13)
 
     def test_chunked_path_matches_single_queries(self):
-        # n large enough that the blocked evaluation spans several chunks.
+        # n large enough that the joint count spans many blocks of x ranks.
         rng = np.random.default_rng(23)
         s = random_sample(rng, 3000)
         cfg = default_config(s)
@@ -225,6 +229,83 @@ class TestTStatisticAtSamplePoints:
         for _ in range(10):
             s = tied_sample(rng, int(rng.integers(4, 40)))
             assert np.isfinite(t_statistic_at_sample_points(s, default_config(s))).all()
+
+
+def closed_counts(xs, ys, hx, hy):
+    # The definition itself: |q - x| <= h on each axis, for every pair.
+    in_x = np.abs(xs[:, None] - xs[None, :]) <= hx
+    in_y = np.abs(ys[:, None] - ys[None, :]) <= hy
+    return in_x.sum(axis=1), in_y.sum(axis=1), (in_x & in_y).sum(axis=1)
+
+
+@st.composite
+def edge_inputs(draw, max_n=60):
+    # Integer lattices with points exactly h apart, or values on a 0.1 grid
+    # with h in {0.1, 0.2, 0.3}, where searchsorted(x +- h) and |q - x| <= h
+    # disagree (0.8 - 0.6 rounds above 0.2).
+    n = draw(st.integers(2, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        values = rng.integers(-4, 5, size=(2, n)).astype(float)
+        widths = (0.5, 1.0, 2.0)
+    else:
+        values = rng.integers(-15, 16, size=(2, n)) / 10
+        widths = (0.1, 0.2, 0.3)
+    hx, hy = (draw(st.sampled_from(widths)) for _ in range(2))
+    return values[0], values[1], hx, hy
+
+
+class TestWindowCounts:
+    def test_rounded_grid_needs_the_edge_repair(self):
+        xs = np.array([-1.0, -0.7, 0.6, 0.2, 0.8, 0.0])
+        ordered = np.sort(xs)
+        naive = ordered.searchsorted(xs + 0.2, "right") - ordered.searchsorted(xs - 0.2, "left")
+        want = closed_counts(xs, xs, 0.2, 0.2)[0]
+        assert not np.array_equal(naive, want)
+        assert np.array_equal(Margin.of(xs, 0.2).counts, want)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(edge_inputs())
+    def test_matches_closed_definition_on_ties(self, inputs):
+        xs, ys, hx, hy = inputs
+        got = window_counts(PairedSample(xs, ys), KdeConfig(hx, hy))
+        for a, b in zip(got, closed_counts(xs, ys, hx, hy)):
+            assert np.array_equal(a, b)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(edge_inputs(max_n=400), st.sampled_from([200, 2_000, 20_000]))
+    def test_small_workspace_spans_blocks_and_chunks(self, inputs, workspace):
+        # A small budget grows the block and splits the queries into chunks.
+        xs, ys, hx, hy = inputs
+        want = closed_counts(xs, ys, hx, hy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kde, "_WORKSPACE", workspace)
+            mp.setattr(kde, "_SCAN_CHUNK", workspace)
+            got = window_counts(PairedSample(xs, ys), KdeConfig(hx, hy))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(edge_inputs(), st.integers(0, 2**32 - 1))
+    def test_permuting_y_permutes_its_margin(self, inputs, seed):
+        xs, ys, hx, hy = inputs
+        perm = np.random.default_rng(seed).permutation(xs.size)
+        mx, my = Margin.of(xs, hx), Margin.of(ys, hy)
+        shuffled = my.permuted(perm)
+        assert np.array_equal(Margin.of(ys[perm], hy).counts, my.counts[perm])
+        assert np.array_equal(shuffled.counts, my.counts[perm])
+        assert np.array_equal(
+            joint_counts(mx, shuffled), closed_counts(xs, ys[perm], hx, hy)[2]
+        )
+
+    def test_extreme_magnitudes(self):
+        rng = np.random.default_rng(37)
+        xs = np.round(rng.normal(size=300), 1) * 1e150
+        ys = np.round(rng.normal(size=300), 1) * 1e150
+        got = window_counts(PairedSample(xs, ys), KdeConfig(1e149, 2e149))
+        for a, b in zip(got, closed_counts(xs, ys, 1e149, 2e149)):
+            assert np.array_equal(a, b)
 
 
 class TestTStatisticPopulation:
