@@ -70,6 +70,35 @@ class ExpressionMatrix:
         return self.values[index]
 
 
+def _parse_fields(fields, row: int, first_column: int) -> np.ndarray:
+    """Parse one row's fields as finite floats, each exactly as float(text.strip()).
+
+    numpy's str-to-float cast calls float() on each field. A failed or
+    non-finite row is then walked field by field only to raise ParseError at
+    the first missing, malformed or non-finite field (1-based row and column).
+    """
+    try:
+        values = np.array(fields, dtype=float)
+    except ValueError:
+        # float() keeps the U+001F separator that str.strip() removes.
+        try:
+            values = np.array([text.strip() for text in fields], dtype=float)
+        except ValueError:
+            values = None
+    if values is None or not np.isfinite(values).all():
+        for c, text in enumerate(fields, start=first_column):
+            text = text.strip()
+            if text == "":
+                raise ParseError("missing value", row=row, column=c)
+            try:
+                value = float(text)
+            except ValueError:
+                raise ParseError(f"not a number: {text!r}", row=row, column=c) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {text!r}", row=row, column=c)
+    return values
+
+
 def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatrix:
     """Parse a delimited genes-by-cells table.
 
@@ -96,7 +125,7 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
     cell_ids = [h.strip() for h in header[1:]]
 
     first_rows = {}
-    rows = []
+    values = np.empty((len(lines) - 1, len(cell_ids)))
     for r, line in enumerate(lines[1:], start=2):
         if line.strip() == "":
             continue
@@ -110,30 +139,21 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
             raise ParseError(
                 f"duplicate gene id {gene_id!r}, first seen on row {first_rows[gene_id]}", row=r
             )
+        values[len(first_rows)] = _parse_fields(fields[1:], row=r, first_column=2)
         first_rows[gene_id] = r
-        parsed = []
-        for c, text in enumerate(fields[1:], start=2):
-            text = text.strip()
-            if text == "":
-                raise ParseError("missing value", row=r, column=c)
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"not a number: {text!r}", row=r, column=c) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite value {text!r}", row=r, column=c)
-            parsed.append(value)
-        rows.append(parsed)
-    if not rows:
+    if not first_rows:
         raise ParseError("no data rows", row=2)
 
-    values = np.asarray(rows, dtype=float)
+    values = values[: len(first_rows)]
     if transform == "log2cpm1":
         sums = values.sum(axis=0)
         dead = np.nonzero(sums == 0.0)[0]
         if dead.size:
             raise ZeroLibrarySize(f"column {cell_ids[dead[0]]!r} sums to zero")
-        values = np.log2(values / sums * 1e6 + 1.0)
+        values /= sums
+        values *= 1e6
+        values += 1.0
+        np.log2(values, out=values)
     return ExpressionMatrix(list(first_rows), cell_ids, values)
 
 
@@ -147,28 +167,27 @@ def write_expression(matrix: ExpressionMatrix, path, format: str = "csv") -> Non
 
 
 def read_pairs(path) -> PairedSample:
-    """Read a two-column x,y CSV (optional header) into a PairedSample."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
-    if not lines:
+    """Read a two-column x,y CSV (optional header) into a PairedSample.
+
+    Fields parse as in ingest: a missing, malformed or non-finite field
+    raises ParseError with its 1-based row (the line in the file, blank
+    lines included) and column.
+    """
+    text = Path(path).read_text(encoding="utf-8-sig")
+    rows = [(r, line) for r, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not rows:
         raise ParseError("empty file", row=1)
-    start = 0
     try:
-        float(lines[0].split(",")[0])
+        float(rows[0][1].split(",")[0])
     except ValueError:
-        start = 1
-    xs, ys = [], []
-    for r, line in enumerate(lines[start:], start=start + 1):
+        rows = rows[1:]
+    xs = np.empty(len(rows))
+    ys = np.empty(len(rows))
+    for i, (r, line) in enumerate(rows):
         fields = line.split(",")
         if len(fields) != 2:
             raise DimensionMismatch(f"row {r} has {len(fields)} fields, expected 2")
-        pair = []
-        for c, text in enumerate(fields, start=1):
-            try:
-                pair.append(float(text.strip()))
-            except ValueError:
-                raise ParseError(f"not a number: {text.strip()!r}", row=r, column=c) from None
-        xs.append(pair[0])
-        ys.append(pair[1])
+        xs[i], ys[i] = _parse_fields(fields, row=r, first_column=1)
     return PairedSample(xs, ys)
 
 

@@ -9,10 +9,10 @@ uniformly.
 
 import inspect
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
 
 from ._util import child_seed, ordered_map
 from .aldg import ThresholdRule, aldg, avgcsn, mean_t
@@ -52,11 +52,15 @@ def _pearson(sample: PairedSample) -> float:
 
 
 def _spearman(sample: PairedSample) -> float:
+    from scipy.stats import rankdata  # imported here: slow, and most CLI runs never need it
+
     ranked = PairedSample(rankdata(sample.xs), rankdata(sample.ys))
     return _pearson(ranked)
 
 
 def _kendall(sample: PairedSample) -> float:
+    from scipy.stats import kendalltau  # imported here: slow, and most CLI runs never need it
+
     tau = kendalltau(sample.xs, sample.ys, variant="b")[0]
     if not np.isfinite(tau):
         raise ZeroVariance("Kendall tau-b is undefined when one input is constant")
@@ -93,6 +97,21 @@ def _hoeffd(sample: PairedSample) -> float:
     return 30.0 * numerator / denominator
 
 
+_dcor_work = threading.local()
+
+
+def _dcor_blocks(rows: int, n: int) -> list:
+    """The calling thread's three (rows, n) float64 work arrays for _dcor.
+
+    They are kept between calls and grown on demand: fresh n×n temporaries
+    on every call cost more in page faults than the arithmetic itself.
+    """
+    flat = getattr(_dcor_work, "flat", ())
+    if not flat or flat[0].size < rows * n:
+        flat = _dcor_work.flat = [np.empty(rows * n) for _ in range(3)]
+    return [buf[: rows * n].reshape(rows, n) for buf in flat]
+
+
 def _dcor(sample: PairedSample) -> float:
     """Distance correlation from the V-statistic moments S1 + S2 - 2 S3."""
     xs, ys = sample.xs, sample.ys
@@ -103,11 +122,12 @@ def _dcor(sample: PairedSample) -> float:
     block = max(1, int(2_000_000 // n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        a = np.abs(xs[start:stop, None] - xs[None, :])
-        b = np.abs(ys[start:stop, None] - ys[None, :])
-        s1_xy += float(np.sum(a * b))
-        s1_xx += float(np.sum(a * a))
-        s1_yy += float(np.sum(b * b))
+        a, b, prod = _dcor_blocks(stop - start, n)
+        np.abs(np.subtract(xs[start:stop, None], xs[None, :], out=a), out=a)
+        np.abs(np.subtract(ys[start:stop, None], ys[None, :], out=b), out=b)
+        s1_xy += float(np.sum(np.multiply(a, b, out=prod)))
+        s1_xx += float(np.sum(np.multiply(a, a, out=prod)))
+        s1_yy += float(np.sum(np.multiply(b, b, out=prod)))
         row_a[start:stop] = a.sum(axis=1)
         row_b[start:stop] = b.sum(axis=1)
     sum_a = float(row_a.sum())

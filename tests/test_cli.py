@@ -1,10 +1,17 @@
 """Command line interface: parsing, seed resolution, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import depgap
 from depgap import (
     DepgapError,
     DimensionMismatch,
@@ -159,6 +166,74 @@ class TestIngest:
             ExpressionMatrix(["g1"], ["c1"], np.array([[np.nan]]))
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+PADDING = ("", " ", "\t", "\xa0", "\u2003", "\x1f")
+
+
+@st.composite
+def field_texts(draw):
+    core = draw(
+        st.one_of(
+            st.sampled_from(
+                ["0", "-0", "0.0", "-0.0", "+0", "5e-324", "-5e-324", "1.7976931348623157e308",
+                 "-1.7976931348623157e308", "1_0", "1_000.25", "-2_5e-1_0"]
+            ),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(-(10**6), 10**6).map(lambda k: str(k).translate(ARABIC_INDIC)),
+            st.decimals(-1000, 1000, places=3).map(lambda d: str(d).translate(ARABIC_INDIC)),
+        )
+    )
+    return draw(st.sampled_from(PADDING)) + core + draw(st.sampled_from(PADDING))
+
+
+class TestIngestFields:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 4).flatmap(
+        lambda cells: st.lists(st.lists(field_texts(), min_size=cells, max_size=cells),
+                               min_size=1, max_size=4)))
+    def test_values_equal_float_of_each_field(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fields") / "expr.csv"
+        lines = ["gene," + ",".join(f"c{j}" for j in range(len(rows[0])))]
+        lines += [f"g{i}," + ",".join(row) for i, row in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = ingest(path).values
+        want = [[float(text.strip()).hex() for text in row] for row in rows]
+        assert [[float(v).hex() for v in row] for row in got] == want
+
+    @pytest.mark.parametrize(
+        "row, message, column",
+        [
+            ("g1,1,1e400", "non-finite value '1e400'", 3),
+            ("g1, nan ,1", "non-finite value 'nan'", 2),
+            ("g1,1,-inf", "non-finite value '-inf'", 3),
+            ("g1,1,", "missing value", 3),
+            ("g1, ,2", "missing value", 2),
+            ("g1,abc,1", "not a number: 'abc'", 2),
+            ("g1,1,inf,abc", "non-finite value 'inf'", 3),
+            ("g1,abc,inf,1", "not a number: 'abc'", 2),
+            ("g1,1,,nan", "missing value", 3),
+        ],
+    )
+    def test_first_bad_field_is_named(self, tmp_path, row, message, column):
+        path = tmp_path / "expr.csv"
+        width = row.count(",")
+        header = "gene," + ",".join(f"c{j}" for j in range(width))
+        path.write_text(f"{header}\ng0,{','.join(['1'] * width)}\n\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert str(exc.value) == f"{message} (row 4, column {column})"
+        assert (exc.value.row, exc.value.column) == (4, column)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by spearman, kendall and nb_mix3.
+    src = str(Path(depgap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, depgap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestExpressionOutput:
     def test_header_and_round_trip(self, tmp_path):
         table = ExpressionMatrix(
@@ -205,6 +280,24 @@ class TestPairsIo:
         bad_value.write_text("x,y\n1,oops\n")
         with pytest.raises(ParseError):
             read_pairs(bad_value)
+
+    @pytest.mark.parametrize(
+        "text, message, row, column",
+        [
+            ("x,y\n3,inf\n", "non-finite value 'inf'", 2, 2),
+            ("x,y\n1,2\nnan,4\n", "non-finite value 'nan'", 3, 1),
+            ("x,y\n1,2\n3,\n", "missing value", 3, 2),
+            ("1,2\n3,1e400\n", "non-finite value '1e400'", 2, 2),
+            ("x,y\n1, oops \n", "not a number: 'oops'", 2, 2),
+            ("x,y\n\n1,2\n\n3,abc\n", "not a number: 'abc'", 5, 2),
+        ],
+    )
+    def test_bad_field_location(self, tmp_path, text, message, row, column):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_pairs(path)
+        assert str(exc.value) == f"{message} (row {row}, column {column})"
 
 
 class TestMeasureCommand:

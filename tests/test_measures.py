@@ -160,6 +160,22 @@ class TestDcor:
         with pytest.raises(ZeroVariance):
             measure("dcor", PairedSample([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]))
 
+    def test_work_arrays_reused_across_sizes(self):
+        # The per-thread work arrays grow for a multi-block call at n=1500
+        # and are then sliced for smaller calls; no value may depend on that.
+        rng = np.random.default_rng(90)
+        small = random_sample(rng, 60)
+        first = measure("dcor", small)
+        xs = rng.normal(size=1500)
+        big = PairedSample(xs, xs**2 + rng.normal(size=1500))
+        a = np.abs(xs[:, None] - xs[None, :])
+        b = np.abs(big.ys[:, None] - big.ys[None, :])
+        a = a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean()
+        b = b - b.mean(axis=0) - b.mean(axis=1)[:, None] + b.mean()
+        want = math.sqrt(np.mean(a * b) / math.sqrt(np.mean(a * a) * np.mean(b * b)))
+        assert measure("dcor", big) == pytest.approx(want, rel=1e-9)
+        assert measure("dcor", small) == first
+
 
 class TestHsic:
     def test_matches_brute_default_width(self):
