@@ -181,13 +181,22 @@ def read_pairs(path) -> PairedSample:
         float(rows[0][1].split(",")[0])
     except ValueError:
         rows = rows[1:]
-    xs = np.empty(len(rows))
-    ys = np.empty(len(rows))
-    for i, (r, line) in enumerate(rows):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise DimensionMismatch(f"row {r} has {len(fields)} fields, expected 2")
-        xs[i], ys[i] = _parse_fields(fields, row=r, first_column=1)
+    table = [line.split(",") for _, line in rows]
+    # One cast for the whole file; numpy's fixed cost per call outweighs two
+    # fields. Only a file that fails is parsed row by row, so that the first
+    # bad row in file order raises, with the text `_parse_fields` gives it.
+    try:
+        values = np.array(table, dtype=float)
+        cast = values.shape == (len(rows), 2) and np.isfinite(values).all()
+    except ValueError:
+        cast = False
+    if not cast:
+        values = np.empty((len(rows), 2))
+        for i, ((r, _), fields) in enumerate(zip(rows, table)):
+            if len(fields) != 2:
+                raise DimensionMismatch(f"row {r} has {len(fields)} fields, expected 2")
+            values[i] = _parse_fields(fields, row=r, first_column=1)
+    xs, ys = values.T.copy()
     return PairedSample(xs, ys)
 
 

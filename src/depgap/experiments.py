@@ -480,8 +480,9 @@ def run_mixture_accumulation(
 
 # Measures cheap enough to recompute inside every permutation at the default
 # grid sizes. hhg costs O(n^3) per evaluation and would multiply the suite
-# runtime roughly tenfold; mr (O(n^2)) stays out too so the suite's report
-# keeps its columns. Pass either in `kinds` explicitly to include it.
+# runtime roughly tenfold. mr is cheap now, but stays out so that the suite's
+# report keeps its columns and its runtime. Pass either in `kinds` explicitly
+# to include it.
 POWER_SUITE_KINDS = tuple(t for t in MEASURE_TAGS if t not in ("hhg", "mr"))
 
 

@@ -175,6 +175,10 @@ class Margin:
     |v_k - v_j| <= h are exactly those at sorted positions [lo[k], hi[k]).
     Windows hold whole runs of tied values, so any ranking that sorts the
     values serves; `permuted` relies on that.
+
+    `joint_counts` reads [lo, hi) as any run of sorted positions, not only a
+    window: `measures._hoeffd` and `measures._mr` pass the runs [0, lo) and
+    [0, hi) of width-0 margins, and `_mr` also [lo, rank).
     """
 
     rank: np.ndarray

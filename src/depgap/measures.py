@@ -17,7 +17,7 @@ import numpy as np
 from ._util import child_seed, ordered_map
 from .aldg import ThresholdRule, aldg, avgcsn, mean_t
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
-from .kde import PairedSample
+from .kde import Margin, PairedSample, joint_counts
 
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
@@ -70,31 +70,47 @@ def _kendall(sample: PairedSample) -> float:
 def _hoeffd(sample: PairedSample) -> float:
     """Classical finite-sample Hoeffding D statistic.
 
-    Slightly negative values are possible for nearly independent data; the
-    statistic is exact integer arithmetic until the final division.
+    r and s count the points at or below each point on each axis, and c the
+    other points at or below it on both axes. Counting ties that way makes
+    the statistic equal the 5-point U-statistic of Hoeffding's kernel with
+    indicators 1{x_j <= x_i}. Slightly negative values are possible for
+    nearly independent data.
     """
     n = sample.n
     if n < 5:
         raise TooFewSamples("Hoeffding's D needs at least 5 observations")
-    xs, ys = sample.xs, sample.ys
-    d1 = d2 = d3 = 0.0
+    mx, my = _tie_margins(sample)
+    r = mx.hi.astype(float)
+    s = my.hi.astype(float)
+    c = (joint_counts(_below(mx.rank, mx.hi), _below(my.rank, my.hi)) - 1).astype(float)
+    # The blocks exist only to fix the rounding order of the float sums,
+    # which the statistic's last bits depend on.
     block = max(1, int(4_000_000 // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        le_x = xs[None, :] <= xs[start:stop, None]
-        le_y = ys[None, :] <= ys[start:stop, None]
-        lt_both = (xs[None, :] < xs[start:stop, None]) & (
-            ys[None, :] < ys[start:stop, None]
-        )
-        r = le_x.sum(axis=1).astype(float)
-        s = le_y.sum(axis=1).astype(float)
-        c = lt_both.sum(axis=1).astype(float)
-        d1 += float(np.sum(c * (c - 1.0)))
-        d2 += float(np.sum((r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0)))
-        d3 += float(np.sum((r - 2.0) * (s - 2.0) * c))
+    d1, d2, d3 = (
+        sum(float(np.sum(terms[start:start + block])) for start in range(0, n, block))
+        for terms in (c * (c - 1.0), (r - 1.0) * (r - 2.0) * (s - 1.0) * (s - 2.0),
+                      (r - 2.0) * (s - 2.0) * c)
+    )
     numerator = (n - 2) * (n - 3) * d1 + d2 - 2.0 * (n - 2) * d3
     denominator = float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
     return 30.0 * numerator / denominator
+
+
+def _tie_margins(sample: PairedSample) -> tuple[Margin, Margin]:
+    """Width-0 margins: lo counts the values below each point, hi those at or below it."""
+    # Differences of values near +-1.8e308 overflow to infinities of the
+    # right sign, which the window test reads correctly.
+    with np.errstate(over="ignore"):
+        return Margin.of(sample.xs, 0.0), Margin.of(sample.ys, 0.0)
+
+
+def _below(rank: np.ndarray, edge: np.ndarray) -> Margin:
+    """The run [0, edge[k]) of sorted positions for every point k.
+
+    With these runs on both axes `joint_counts` gives F(a, b) = #{x rank < a,
+    y rank < b} at each point's corner (a, b).
+    """
+    return Margin(rank, np.zeros_like(edge), edge)
 
 
 _dcor_work = threading.local()
@@ -234,31 +250,26 @@ def _mr(sample: PairedSample) -> float:
     backward count is the same on (x, -y). The count is exact, so perfectly
     monotone data, which matches every subsequence in exactly one
     direction, scores exactly 1/2, the maximum.
+
+    The counts are corners of F(a, b) on width-0 margins (`_below`). Their
+    stable ranks keep tied values in index order, so the identical points
+    before a point are those at x ranks [lo, rank) that tie with it on y.
     """
     n = sample.n
     if n < 3:
         raise TooFewSamples(f"matching ranks needs at least 3 observations, got {n}")
-    xs, ys = sample.xs, sample.ys
-    index = np.arange(n)
-    forward = backward = 0
-    block = max(1, int(4_000_000 // n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        x_lt = xs[None, :] < xs[start:stop, None]
-        x_gt = xs[None, :] > xs[start:stop, None]
-        y_lt = ys[None, :] < ys[start:stop, None]
-        y_gt = ys[None, :] > ys[start:stop, None]
-        same = (xs[None, :] == xs[start:stop, None]) & (ys[None, :] == ys[start:stop, None])
-        same_before = (same & (index[None, :] < index[start:stop, None])).sum(axis=1)
-        same_after = same.sum(axis=1) - 1 - same_before
-        forward += int(
-            ((x_lt & y_lt).sum(axis=1) + same_before)
-            @ ((x_gt & y_gt).sum(axis=1) + same_after)
-        )
-        backward += int(
-            ((x_lt & y_gt).sum(axis=1) + same_before)
-            @ ((x_gt & y_lt).sum(axis=1) + same_after)
-        )
+    mx, my = _tie_margins(sample)
+    x_lo, x_hi = _below(mx.rank, mx.lo), _below(mx.rank, mx.hi)
+    y_lo, y_hi = _below(my.rank, my.lo), _below(my.rank, my.hi)
+    # ll counts the points below a point on both axes, hh those at or below
+    # it on both; lh and hl mix the two.
+    ll, lh = joint_counts(x_lo, y_lo), joint_counts(x_lo, y_hi)
+    hl, hh = joint_counts(x_hi, y_lo), joint_counts(x_hi, y_hi)
+    same = hh - hl - lh + ll
+    before = joint_counts(Margin(mx.rank, mx.lo, mx.rank), my)
+    after = same - 1 - before
+    forward = int((ll + before) @ (n - mx.hi - my.hi + hh + after))
+    backward = int((mx.lo - lh + before) @ (my.lo - hl + after))
     return (forward + backward) / (2.0 * math.comb(n, 3))
 
 

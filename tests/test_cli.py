@@ -281,6 +281,25 @@ class TestPairsIo:
         with pytest.raises(ParseError):
             read_pairs(bad_value)
 
+    def test_first_bad_row_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("x,y\n1,2\n3,abc\n5,6,7\n")
+        with pytest.raises(ParseError) as exc:
+            read_pairs(path)
+        assert str(exc.value) == "not a number: 'abc' (row 3, column 2)"
+        path.write_text("x,y\n1,2\n5,6,7\n3,abc\n")
+        with pytest.raises(DimensionMismatch, match="row 3 has 3 fields, expected 2"):
+            read_pairs(path)
+
+    def test_field_that_only_strip_accepts(self, tmp_path):
+        # float() rejects the U+001F padding that str.strip() removes, so
+        # the whole-file cast fails and the rows are parsed one by one.
+        path = tmp_path / "pairs.csv"
+        path.write_text("x,y\n1,\x1f2\n3,4\n")
+        sample = read_pairs(path)
+        assert sample.xs.tolist() == [1.0, 3.0]
+        assert sample.ys.tolist() == [2.0, 4.0]
+
     @pytest.mark.parametrize(
         "text, message, row, column",
         [

@@ -54,6 +54,33 @@ def tied_sample(rng, n):
 LINE = PairedSample(np.linspace(-1.0, 1.0, 24), 2.0 * np.linspace(-1.0, 1.0, 24) + 1.0)
 
 
+# Value pools for rank-measure inputs: ties on a lattice and on a coarse
+# grid, signed zeros, and magnitudes at the ends of the float range.
+_TIED_POOLS = {
+    "lattice": st.integers(0, 2).map(float),
+    "tied": st.sampled_from([-1.5, -0.1, 0.1, 1.5]),
+    "signed-zero": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+    "extreme": st.sampled_from(
+        [-1.7976931348623157e308, -1e300, -5e-324, 0.0, 5e-324, 1e300, 1.7976931348623157e308]
+    ),
+}
+
+
+@st.composite
+def tied_inputs(draw, min_n):
+    """Paired values of length min_n..9 from one pool, sometimes with a constant axis."""
+    n = draw(st.integers(min_n, 9))
+    pool = _TIED_POOLS[draw(st.sampled_from(sorted(_TIED_POOLS)))]
+    xs = draw(st.lists(pool, min_size=n, max_size=n))
+    ys = draw(st.lists(pool, min_size=n, max_size=n))
+    constant = draw(st.sampled_from(["neither", "x", "y"]))
+    if constant == "x":
+        xs = [xs[0]] * n
+    elif constant == "y":
+        ys = [ys[0]] * n
+    return xs, ys
+
+
 class TestRegistry:
     def test_tag_listing(self):
         assert len(MEASURE_TAGS) == 11
@@ -124,6 +151,18 @@ class TestKendall:
             measure("kendall", PairedSample([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("tag, oracle", [("spearman", spearman_brute), ("kendall", kendall_taub_brute)])
+@settings(derandomize=True, database=None, deadline=None)
+@given(inputs=tied_inputs(3))
+def test_rank_correlations_on_ties_and_extremes(tag, oracle, inputs):
+    xs, ys = inputs
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
+        with pytest.raises(ZeroVariance):
+            measure(tag, PairedSample(xs, ys))
+    else:
+        assert measure(tag, PairedSample(xs, ys)) == pytest.approx(oracle(xs, ys), rel=1e-12)
+
+
 class TestHoeffd:
     def test_matches_brute(self):
         rng = np.random.default_rng(83)
@@ -132,6 +171,22 @@ class TestHoeffd:
             assert measure("hoeffd", s) == pytest.approx(
                 hoeffd_brute(s.xs, s.ys), rel=1e-12, abs=1e-12
             )
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(tied_inputs(5))
+    def test_matches_brute_on_ties_and_extremes(self, inputs):
+        # Ties count as "at or below" on every axis, as in the oracle's kernel.
+        xs, ys = inputs
+        assert measure("hoeffd", PairedSample(xs, ys)) == pytest.approx(
+            hoeffd_brute(xs, ys), rel=1e-12, abs=1e-12
+        )
+
+    def test_lattice_ties_stay_in_range(self):
+        xs = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        ys = [2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0]
+        value = measure("hoeffd", PairedSample(xs, ys))
+        assert value == pytest.approx(hoeffd_brute(xs, ys), rel=1e-12)
+        assert -0.5 <= value <= 1.0
 
     def test_needs_five_observations(self):
         with pytest.raises(TooFewSamples):
@@ -220,32 +275,6 @@ class TestHhg:
             measure("hhg", PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
 
 
-# Value pools for matching-ranks inputs: ties on a lattice and on a coarse
-# grid, signed zeros, and magnitudes at the ends of the float range.
-_MR_POOLS = {
-    "lattice": st.integers(0, 2).map(float),
-    "tied": st.sampled_from([-1.5, -0.1, 0.1, 1.5]),
-    "signed-zero": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
-    "extreme": st.sampled_from(
-        [-1.7976931348623157e308, -1e300, -5e-324, 0.0, 5e-324, 1e300, 1.7976931348623157e308]
-    ),
-}
-
-
-@st.composite
-def mr_inputs(draw):
-    n = draw(st.integers(3, 9))
-    pool = _MR_POOLS[draw(st.sampled_from(sorted(_MR_POOLS)))]
-    xs = draw(st.lists(pool, min_size=n, max_size=n))
-    ys = draw(st.lists(pool, min_size=n, max_size=n))
-    constant = draw(st.sampled_from(["neither", "x", "y"]))
-    if constant == "x":
-        xs = [xs[0]] * n
-    elif constant == "y":
-        ys = [ys[0]] * n
-    return xs, ys
-
-
 class TestMatchingRanks:
     def test_matches_brute_exact_path(self):
         rng = np.random.default_rng(103)
@@ -256,7 +285,7 @@ class TestMatchingRanks:
             )
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(mr_inputs())
+    @given(tied_inputs(3))
     def test_equals_brute_on_ties_and_extremes(self, inputs):
         xs, ys = inputs
         assert measure("mr", PairedSample(xs, ys)) == mr_brute(xs, ys, 3)
