@@ -2,6 +2,7 @@
 and stable float formatting for report files.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +21,19 @@ def child_seed(seed: int, index: int) -> int:
 def child_rng(seed: int, index: int) -> np.random.Generator:
     """Generator seeded from the (seed, index) hash; see child_seed."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
+
+
+def unit_scaled(values) -> tuple:
+    """values times 2**-e, with e the frexp exponent of their largest magnitude, and e.
+
+    The scaled values lie in (-1, 1). A power-of-two scaling is exact unless
+    a value falls below the normal range, so a statistic that is equivariant
+    under scaling keeps its bits on the scaled values, while their squares
+    and products can no longer overflow or underflow.
+    """
+    values = np.asarray(values, dtype=float)
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -e), e
 
 
 def ordered_map(fn, items, threads: int = 1) -> list:

@@ -22,6 +22,8 @@ from .kde import (
     PairedSample,
     _gap,
     _gaussian_densities,
+    _sample_sd,
+    _scaled_pair,
     default_config,
     joint_counts,
     t_from_counts,
@@ -121,7 +123,9 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
         raise TooFewSamples("asymptotic-norm threshold needs n >= 2")
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("sigmas must be positive")
-    return float(ndtri(1.0 - 1.0 / n)) / (math.sqrt(sigma_x * sigma_y) * n ** (1.0 / 3.0))
+    scaled_x, scaled_y, k = _scaled_pair(sigma_x, sigma_y)
+    root = math.ldexp(math.sqrt(scaled_x * scaled_y), k)
+    return float(ndtri(1.0 - 1.0 / n)) / (root * n ** (1.0 / 3.0))
 
 
 def _shuffled_t_values(mx: Margin, my: Margin, cfg: KdeConfig, seed: int, index: int):
@@ -141,6 +145,11 @@ def _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads) -> list:
         range(n_shuffles),
         threads,
     )
+
+
+def _share_at_least(tvals, grid) -> np.ndarray:
+    """The share of the T values at or above each threshold of grid."""
+    return (tvals[None, :] >= grid[:, None]).mean(axis=1)
 
 
 def _median_of_maxima(t_arrays) -> float:
@@ -191,7 +200,7 @@ def threshold_inflection_point(
         grid = np.linspace(0.0, upper, 51)
 
     def one(tvals):
-        curve = (tvals[None, :] >= grid[:, None]).mean(axis=1)
+        curve = _share_at_least(tvals, grid)
         if np.all(curve == curve[0]):
             raise DegenerateCurve("aLDG-versus-t curve is constant on the grid")
         second_diff = curve[2:] - 2.0 * curve[1:-1] + curve[:-2]
@@ -235,11 +244,7 @@ def aldg(
     if resolved.kind == "fixed":
         t = float(resolved.t)
     elif resolved.kind == "asymptotic-norm":
-        t = threshold_asymptotic_norm(
-            sample.n,
-            float(np.std(sample.xs, ddof=1)),
-            float(np.std(sample.ys, ddof=1)),
-        )
+        t = threshold_asymptotic_norm(sample.n, _sample_sd(sample.xs), _sample_sd(sample.ys))
     elif resolved.kind == "uniform-error":
         t = threshold_uniform_error(
             sample, cfg, resolved.n_shuffles, resolved.seed, threads

@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="permutation independence test on an x,y CSV")
     p.add_argument("data", help="two-column x,y CSV")
     _add_measure_flags(p)
-    p.add_argument("--n-perms", type=int, default=200)
+    p.add_argument("--n-perms", type=_int_at_least(1), default=200)
     _add_common_flags(p)
     p.set_defaults(func=cmd_test)
 
@@ -467,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-scale", action="store_true",
                    help="use publication-size grids instead of desk-scale defaults")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_int_at_least(1), default=None)
     p.add_argument("--noise-level", type=float, default=None)
     p.add_argument("--level", type=float, default=None)
-    p.add_argument("--n-perms", type=int, default=None)
+    p.add_argument("--n-perms", type=_int_at_least(1), default=None)
     p.add_argument("--small-n", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--d-n", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--repeats", type=_int_at_least(1), default=None)
     p.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
     p.add_argument("--c-grid", default=None, help="comma-separated noise levels")
     p.add_argument("--families", default=None, help="comma-separated family names")

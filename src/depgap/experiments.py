@@ -7,6 +7,7 @@ to the "timing" entry of the metadata so the remaining artifact bytes can
 be compared across runs and thread counts.
 """
 
+import itertools
 import json
 import math
 import time
@@ -19,6 +20,7 @@ import numpy as np
 from ._util import child_seed, fmt_float, ordered_map
 from .aldg import (
     ThresholdRule,
+    _share_at_least,
     aldg,
     default_n_shuffles,
     influence_approx,
@@ -221,26 +223,63 @@ def render_svg(report: ExperimentReport) -> Optional[str]:
     return "\n".join(parts) + "\n"
 
 
-def _timed_map(fn, items, threads: int):
-    """ordered_map wrapper that also records per-item wall seconds."""
+class _Study:
+    """One run of an experiment: its meta, its grid of cells and its clock.
 
-    def wrapped(item):
-        t0 = time.perf_counter()
-        out = fn(item)
-        return out, time.perf_counter() - t0
+    The meta names the study once and holds its parameters and seed. Wall
+    clock readings go only into its "timing" block, so every other byte of
+    the report is the same at every thread count.
+    """
 
-    pairs = ordered_map(wrapped, items, threads)
-    return [p[0] for p in pairs], [round(p[1], 6) for p in pairs]
+    def __init__(self, name: str, seed: int, **parameters):
+        self.name = name
+        self.meta = {"name": name, "parameters": parameters, "seed": seed}
+        self.started = time.time(), time.perf_counter()
+        self.cell_seconds = []
 
+    def grid(self, one, *lengths, trials: Optional[int] = None, threads: int = 1) -> list:
+        """Run one(cell, *index) over every index of a grid with these axis lengths.
 
-def _timing_meta(wall0: float, perf0: float, cell_seconds=None) -> dict:
-    timing = {
-        "started_unix": round(wall0, 3),
-        "total_seconds": round(time.perf_counter() - perf0, 6),
-    }
-    if cell_seconds is not None:
-        timing["cell_seconds"] = cell_seconds
-    return timing
+        A trials count, when given, must be at least 1 and is the last axis.
+        cell numbers the grid's cells from 0 in itertools.product order, the
+        last axis fastest, so it depends on the index alone. Returns the
+        results nested by axis, and records each cell's wall seconds.
+        """
+        if trials is not None:
+            if trials < 1:
+                raise ValueError(f"trials must be at least 1, got {trials}")
+            lengths += (trials,)
+        indices = list(itertools.product(*map(range, lengths)))
+
+        def timed(cell):
+            t0 = time.perf_counter()
+            out = one(cell, *indices[cell])
+            return out, round(time.perf_counter() - t0, 6)
+
+        done = ordered_map(timed, range(len(indices)), threads)
+        self.cell_seconds += [seconds for _, seconds in done]
+        results = np.empty(lengths, dtype=object)
+        for index, (out, _) in zip(indices, done):
+            results[index] = out
+        return results.tolist()
+
+    def report(self, columns, rows, plot=None, errors=None, **timing) -> ExperimentReport:
+        """The report, with errors (when given) and the timing block added to the meta.
+
+        timing adds entries to the block next to its start time, total
+        seconds and per-cell seconds.
+        """
+        meta = dict(self.meta)
+        if errors is not None:
+            meta["errors"] = errors
+        wall0, perf0 = self.started
+        meta["timing"] = {
+            "started_unix": round(wall0, 3),
+            "total_seconds": round(time.perf_counter() - perf0, 6),
+            "cell_seconds": self.cell_seconds,
+            **timing,
+        }
+        return ExperimentReport(self.name, columns, rows, meta, plot)
 
 
 def _sd(values) -> float:
@@ -265,6 +304,20 @@ def _kind_labels(kinds) -> list:
     return labels
 
 
+def _error_cell(exc: DepgapError, errors: list, **where) -> str:
+    """Record a failed cell in errors and return its error:<Type> marker."""
+    errors.append({**where, "message": str(exc)})
+    return f"error:{type(exc).__name__}"
+
+
+def _or_error(fn, *args, **kwargs):
+    """fn's value, or the DepgapError it raised, which becomes an error cell."""
+    try:
+        return fn(*args, **kwargs)
+    except DepgapError as exc:
+        return exc
+
+
 def run_nonlinearity_grid(
     n: int = 200,
     trials: int = 50,
@@ -285,71 +338,65 @@ def run_nonlinearity_grid(
     families = list(families)
     kinds = _as_kinds(kinds)
     labels = _kind_labels(kinds)
+    study = _Study(
+        "nonlinearity-grid", seed,
+        n=n, trials=trials, noise_level=noise_level, families=families, measures=labels,
+    )
     data_root = child_seed(seed, 0)
     measure_root = child_seed(seed, 1)
-    wall0, perf0 = time.time(), time.perf_counter()
 
-    tasks = [(fi, trial) for fi in range(len(families)) for trial in range(trials)]
-
-    def one(task):
-        fi, trial = task
-        cell = fi * trials + trial
+    def one(cell, fi, trial):
         spec = SynthSpec(
             families[fi], n, noise_level=noise_level, seed=child_seed(data_root, cell)
         )
         data = generate(spec)
-        out = []
-        for ki, kind in enumerate(kinds):
-            seeded = kind_with_seed(kind, child_seed(measure_root, cell * len(kinds) + ki))
-            try:
-                out.append(measure(seeded, data))
-            except DepgapError as exc:
-                out.append(exc)
-        return out
+        return [
+            _or_error(
+                measure, kind_with_seed(kind, child_seed(measure_root, cell * len(kinds) + ki)), data
+            )
+            for ki, kind in enumerate(kinds)
+        ]
 
-    results, cell_seconds = _timed_map(one, tasks, threads)
+    results = study.grid(one, len(families), trials=trials, threads=threads)
 
     rows = []
     errors = []
-    for fi, family in enumerate(families):
+    for family, per_trial in zip(families, results):
         row = [family]
-        for ki, label in enumerate(labels):
-            values, failures = [], []
-            for trial in range(trials):
-                got = results[fi * trials + trial][ki]
-                if isinstance(got, DepgapError):
-                    failures.append(got)
-                else:
-                    values.append(got)
+        for label, outcomes in zip(labels, zip(*per_trial)):
+            values = [v for v in outcomes if not isinstance(v, DepgapError)]
+            failures = [v for v in outcomes if isinstance(v, DepgapError)]
             if failures:
-                errors.append(
-                    {
-                        "family": family,
-                        "measure": label,
-                        "count": len(failures),
-                        "message": str(failures[0]),
-                    }
+                marker = _error_cell(
+                    failures[0], errors, family=family, measure=label, count=len(failures)
                 )
-            if values:
-                row.append(float(np.mean(values)))
-            else:
-                row.append(f"error:{type(failures[0]).__name__}")
+            row.append(float(np.mean(values)) if values else marker)
         rows.append(row)
+    return study.report(["family"] + labels, rows, errors=errors)
 
-    meta = {
-        "name": "nonlinearity-grid",
-        "parameters": {
-            "n": n,
-            "trials": trials,
-            "noise_level": noise_level,
-            "families": families,
-            "measures": labels,
-        },
-        "seed": seed,
-        "errors": errors,
-        "timing": _timing_meta(wall0, perf0, cell_seconds),
-    }
-    return ExperimentReport("nonlinearity-grid", ["family"] + labels, rows, meta)
+
+def _aldg_sweep(study, seed, draw, groups, levels, trials, threads, paired=False) -> list:
+    """[group, level, mean, sd] rows of aLDG (auto rule) over trials draws per cell.
+
+    draw(group index, level index, seed) returns one sample. A cell's data
+    and rule seeds are derived from its cell number; when paired, every
+    level of a group reuses the trial's seed pair instead, so the sweep over
+    levels is a paired comparison.
+    """
+    data_root = child_seed(seed, 0)
+    rule_root = child_seed(seed, 1)
+
+    def one(cell, gi, li, trial):
+        index = gi * trials + trial if paired else cell
+        sample = draw(gi, li, child_seed(data_root, index))
+        return aldg(sample, ThresholdRule.auto(seed=child_seed(rule_root, index))).value
+
+    results = study.grid(one, len(groups), len(levels), trials=trials, threads=threads)
+    return [
+        [group, level, float(np.mean(values)), _sd(values)]
+        for group, per_level in zip(groups, results)
+        for level, values in zip(levels, per_level)
+    ]
 
 
 def run_noise_monotonicity(
@@ -370,51 +417,17 @@ def run_noise_monotonicity(
     if c_grid is None:
         c_grid = np.linspace(0.0, 1.0, 11)
     c_grid = [float(c) for c in c_grid]
-    data_root = child_seed(seed, 0)
-    rule_root = child_seed(seed, 1)
-    wall0, perf0 = time.time(), time.perf_counter()
+    study = _Study(
+        "noise-monotonicity", seed, n=n, trials=trials, c_grid=c_grid, families=families
+    )
 
-    tasks = [
-        (fi, ci, trial)
-        for fi in range(len(families))
-        for ci in range(len(c_grid))
-        for trial in range(trials)
-    ]
+    def draw(fi, ci, data_seed):
+        return generate(SynthSpec(families[fi], n, noise_level=c_grid[ci], seed=data_seed))
 
-    def one(task):
-        fi, ci, trial = task
-        cell = (fi * len(c_grid) + ci) * trials + trial
-        spec = SynthSpec(
-            families[fi], n, noise_level=c_grid[ci], seed=child_seed(data_root, cell)
-        )
-        rule = ThresholdRule.auto(seed=child_seed(rule_root, cell))
-        return aldg(generate(spec), rule).value
-
-    results, cell_seconds = _timed_map(one, tasks, threads)
-
-    rows = []
-    for fi, family in enumerate(families):
-        for ci, c in enumerate(c_grid):
-            base = (fi * len(c_grid) + ci) * trials
-            values = results[base : base + trials]
-            rows.append([family, c, float(np.mean(values)), _sd(values)])
-
-    meta = {
-        "name": "noise-monotonicity",
-        "parameters": {
-            "n": n,
-            "trials": trials,
-            "c_grid": c_grid,
-            "families": families,
-        },
-        "seed": seed,
-        "timing": _timing_meta(wall0, perf0, cell_seconds),
-    }
-    return ExperimentReport(
-        "noise-monotonicity",
+    rows = _aldg_sweep(study, seed, draw, families, c_grid, trials, threads)
+    return study.report(
         ["family", "noise", "aldg_mean", "aldg_sd"],
         rows,
-        meta,
         plot={"x": "noise", "y": "aldg_mean", "group": "family"},
     )
 
@@ -436,44 +449,17 @@ def run_mixture_accumulation(
     """
     mixtures = (("gauss-mix3", gauss_mix3), ("nb-mix3", nb_mix3))
     m_grid = (0, 1, 2, 3)
-    data_root = child_seed(seed, 0)
-    rule_root = child_seed(seed, 1)
-    wall0, perf0 = time.time(), time.perf_counter()
+    study = _Study("mixture-accumulation", seed, n=n, trials=trials, m_grid=list(m_grid))
 
-    tasks = [
-        (mi, m, trial)
-        for mi in range(len(mixtures))
-        for m in m_grid
-        for trial in range(trials)
-    ]
+    def draw(mi, li, data_seed):
+        return mixtures[mi][1](m_grid[li], n, seed=data_seed)
 
-    def one(task):
-        mi, m, trial = task
-        pair = mi * trials + trial
-        data = mixtures[mi][1](m, n, seed=child_seed(data_root, pair))
-        rule = ThresholdRule.auto(seed=child_seed(rule_root, pair))
-        return aldg(data, rule).value
-
-    results, cell_seconds = _timed_map(one, tasks, threads)
-
-    rows = []
-    for mi, (mix_name, _) in enumerate(mixtures):
-        for m in m_grid:
-            base = (mi * len(m_grid) + m) * trials
-            values = results[base : base + trials]
-            rows.append([mix_name, m, float(np.mean(values)), _sd(values)])
-
-    meta = {
-        "name": "mixture-accumulation",
-        "parameters": {"n": n, "trials": trials, "m_grid": list(m_grid)},
-        "seed": seed,
-        "timing": _timing_meta(wall0, perf0, cell_seconds),
-    }
-    return ExperimentReport(
-        "mixture-accumulation",
+    rows = _aldg_sweep(
+        study, seed, draw, [name for name, _ in mixtures], m_grid, trials, threads, paired=True
+    )
+    return study.report(
         ["mixture", "m_correlated", "aldg_mean", "aldg_sd"],
         rows,
-        meta,
         plot={"x": "m_correlated", "y": "aldg_mean", "group": "mixture"},
     )
 
@@ -509,75 +495,42 @@ def run_power_suite(
     n_grid = [int(v) for v in n_grid]
     kinds = _as_kinds(kinds)
     labels = _kind_labels(kinds)
+    study = _Study(
+        "power-suite", seed,
+        n_grid=n_grid, families=families, measures=labels, noise_level=noise_level,
+        level=level, n_perms=n_perms, trials=trials,
+    )
     power_root = child_seed(seed, 0)
-    wall0, perf0 = time.time(), time.perf_counter()
 
-    tasks = [
-        (fi, ni, ki)
-        for fi in range(len(families))
-        for ni in range(len(n_grid))
-        for ki in range(len(kinds))
-    ]
-
-    def one(task):
-        fi, ni, ki = task
-        cell = (fi * len(n_grid) + ni) * len(kinds) + ki
+    def one(cell, fi, ni, ki):
         c = noise_level if families[fi] in FUNCTIONAL_FAMILIES else 0.0
         spec = SynthSpec(families[fi], n_grid[ni], noise_level=c, seed=0)
-        try:
-            return power_estimate(
-                spec,
-                kinds[ki],
-                level=level,
-                n_perms=n_perms,
-                n_trials=trials,
-                seed=child_seed(power_root, cell),
-            )
-        except DepgapError as exc:
-            return exc
+        return _or_error(
+            power_estimate,
+            spec,
+            kinds[ki],
+            level=level,
+            n_perms=n_perms,
+            n_trials=trials,
+            seed=child_seed(power_root, cell),
+        )
 
-    results, cell_seconds = _timed_map(one, tasks, threads)
+    results = study.grid(one, len(families), len(n_grid), len(kinds), threads=threads)
 
     rows = []
     errors = []
-    for fi, family in enumerate(families):
-        for ni, n in enumerate(n_grid):
+    for family, per_n in zip(families, results):
+        for n, per_kind in zip(n_grid, per_n):
             row = [family, n]
-            for ki, label in enumerate(labels):
-                got = results[(fi * len(n_grid) + ni) * len(kinds) + ki]
+            for label, got in zip(labels, per_kind):
                 if isinstance(got, DepgapError):
-                    row.append(f"error:{type(got).__name__}")
-                    errors.append(
-                        {
-                            "family": family,
-                            "n": n,
-                            "measure": label,
-                            "message": str(got),
-                        }
-                    )
-                else:
-                    row.append(got)
+                    got = _error_cell(got, errors, family=family, n=n, measure=label)
+                row.append(got)
             rows.append(row)
-
-    meta = {
-        "name": "power-suite",
-        "parameters": {
-            "n_grid": n_grid,
-            "families": families,
-            "measures": labels,
-            "noise_level": noise_level,
-            "level": level,
-            "n_perms": n_perms,
-            "trials": trials,
-        },
-        "seed": seed,
-        "errors": errors,
-        "timing": _timing_meta(wall0, perf0, cell_seconds),
-    }
     plot = None
     if "aldg" in labels:
         plot = {"x": "n", "y": "aldg", "group": "family"}
-    return ExperimentReport("power-suite", ["family", "n"] + labels, rows, meta, plot)
+    return study.report(["family", "n"] + labels, rows, plot=plot, errors=errors)
 
 
 def run_threshold_comparison(
@@ -598,23 +551,26 @@ def run_threshold_comparison(
     the aLDG value and the threshold from each data-driven rule across
     `trials` datasets of size n.
     """
+    grid = np.linspace(0.0, 0.5, 51)
+    study = _Study(
+        "threshold-comparison", seed,
+        n=n, small_n=small_n, trials=trials, rho=rho,
+        t_grid=[float(grid[0]), float(grid[-1]), int(grid.size)],
+    )
     spec = GaussianSpec(rho=rho)
     data_root = child_seed(seed, 0)
     rule_root = child_seed(seed, 1)
-    wall0, perf0 = time.time(), time.perf_counter()
-    grid = np.linspace(0.0, 0.5, 51)
-    rows = []
 
     data = gaussian_pair(spec, n, seed=child_seed(data_root, 0))
     cfg = default_config(data)
 
     def curve_rows(series, tvals):
         return [
-            ["curve", series, float(t), float(np.count_nonzero(tvals >= t)) / tvals.size]
-            for t in grid
+            ["curve", series, float(t), float(share)]
+            for t, share in zip(grid, _share_at_least(tvals, grid))
         ]
 
-    rows += curve_rows("observed", t_statistic_at_sample_points(data, cfg))
+    rows = curve_rows("observed", t_statistic_at_sample_points(data, cfg))
     for k in range(default_n_shuffles(n)):
         shuffled = shuffle_y(data, seed=child_seed(rule_root, k))
         rows += curve_rows(f"shuffle-{k}", t_statistic_at_sample_points(shuffled, cfg))
@@ -628,58 +584,38 @@ def run_threshold_comparison(
             ]
         )
 
-    def small_one(trial):
-        d = gaussian_pair(spec, small_n, seed=child_seed(data_root, 1 + trial))
-        t_an = threshold_asymptotic_norm(
-            small_n, float(np.std(d.xs, ddof=1)), float(np.std(d.ys, ddof=1))
-        )
-        t_ue = threshold_uniform_error(
-            d, default_config(d), seed=child_seed(rule_root, 100 + trial)
-        )
-        return t_an, t_ue
-
-    small = ordered_map(small_one, range(trials), threads)
-    for trial, (t_an, t_ue) in enumerate(small):
-        rows.append(["threshold", "asymptotic-norm", trial, t_an])
-        rows.append(["threshold", "uniform-error", trial, t_ue])
-
     rule_makers = (
         ("uniform-error", lambda s: ThresholdRule.uniform_error(seed=s)),
         ("inflection-point", lambda s: ThresholdRule.inflection_point(seed=s)),
         ("asymptotic-norm", lambda s: ThresholdRule.asymptotic_norm()),
     )
 
-    def big_one(trial):
-        d = gaussian_pair(spec, n, seed=child_seed(data_root, 1000 + trial))
-        out = []
-        for ridx, (_, make) in enumerate(rule_makers):
-            res = aldg(d, make(child_seed(rule_root, 1000 + trial * 8 + ridx)))
-            out.append((res.value, res.t_used))
-        return out
+    def one(cell, trial):
+        small = gaussian_pair(spec, small_n, seed=child_seed(data_root, 1 + trial))
+        t_an = threshold_asymptotic_norm(
+            small_n, float(np.std(small.xs, ddof=1)), float(np.std(small.ys, ddof=1))
+        )
+        t_ue = threshold_uniform_error(
+            small, default_config(small), seed=child_seed(rule_root, 100 + trial)
+        )
+        big = gaussian_pair(spec, n, seed=child_seed(data_root, 1000 + trial))
+        estimates = [
+            aldg(big, make(child_seed(rule_root, 1000 + trial * 8 + ridx)))
+            for ridx, (_, make) in enumerate(rule_makers)
+        ]
+        return (t_an, t_ue), estimates
 
-    big = ordered_map(big_one, range(trials), threads)
-    for trial, per_rule in enumerate(big):
-        for (rule_name, _), (value, t_used) in zip(rule_makers, per_rule):
-            rows.append(["estimate", rule_name, trial, value])
-            rows.append(["estimate-threshold", rule_name, trial, t_used])
-
-    meta = {
-        "name": "threshold-comparison",
-        "parameters": {
-            "n": n,
-            "small_n": small_n,
-            "trials": trials,
-            "rho": rho,
-            "t_grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
-        },
-        "seed": seed,
-        "timing": _timing_meta(wall0, perf0),
-    }
-    return ExperimentReport(
-        "threshold-comparison",
+    results = study.grid(one, trials=trials, threads=threads)
+    for trial, ((t_an, t_ue), _) in enumerate(results):
+        rows.append(["threshold", "asymptotic-norm", trial, t_an])
+        rows.append(["threshold", "uniform-error", trial, t_ue])
+    for trial, (_, estimates) in enumerate(results):
+        for (rule_name, _), res in zip(rule_makers, estimates):
+            rows.append(["estimate", rule_name, trial, res.value])
+            rows.append(["estimate-threshold", rule_name, trial, res.t_used])
+    return study.report(
         ["section", "series", "x", "value"],
         rows,
-        meta,
         plot={"x": "x", "y": "value", "group": "series", "where": ["section", "curve"]},
     )
 
@@ -703,12 +639,12 @@ def run_robustness(
     at thresholds 0 and 0.05.
     """
     point = (float(point[0]), float(point[1]))
+    study = _Study("robustness", seed, n=n, trials=trials, d_n=d_n, point=list(point), eps=eps)
     data_root = child_seed(seed, 0)
     rule_root = child_seed(seed, 1)
-    wall0, perf0 = time.time(), time.perf_counter()
     cspec = ContaminationSpec(d_n, point)
 
-    def one(trial):
+    def one(cell, trial):
         data = generate(
             SynthSpec("independent", n, seed=child_seed(data_root, trial))
         )
@@ -721,14 +657,12 @@ def run_robustness(
             abs(measure("pearson", dirty)),
         )
 
-    results, cell_seconds = _timed_map(one, range(trials), threads)
-
-    rows = []
-    for trial, (a_clean, a_dirty, p_clean, p_dirty) in enumerate(results):
-        rows.append(["aldg-clean", trial, a_clean])
-        rows.append(["aldg-contaminated", trial, a_dirty])
-        rows.append(["pearson-clean", trial, p_clean])
-        rows.append(["pearson-contaminated", trial, p_dirty])
+    series = ("aldg-clean", "aldg-contaminated", "pearson-clean", "pearson-contaminated")
+    rows = [
+        [name, trial, value]
+        for trial, values in enumerate(study.grid(one, trials=trials, threads=threads))
+        for name, value in zip(series, values)
+    ]
 
     gauss = GaussianSpec(rho=0.0)
     inf_seed = child_seed(rule_root, 10_000)
@@ -736,20 +670,7 @@ def run_robustness(
     rows.append(
         ["influence-t0.05", 0, influence_approx(gauss, 0.05, eps, point, seed=inf_seed)]
     )
-
-    meta = {
-        "name": "robustness",
-        "parameters": {
-            "n": n,
-            "trials": trials,
-            "d_n": d_n,
-            "point": list(point),
-            "eps": eps,
-        },
-        "seed": seed,
-        "timing": _timing_meta(wall0, perf0, cell_seconds),
-    }
-    return ExperimentReport("robustness", ["series", "trial", "value"], rows, meta)
+    return study.report(["series", "trial", "value"], rows)
 
 
 MIN_TIMED_SECONDS = 0.5
@@ -764,19 +685,20 @@ def run_timing(
 ) -> ExperimentReport:
     """Wall-clock scaling of measures with sample size on one core.
 
-    For each n a correlated Gaussian dataset is drawn once; after a warmup
-    call each measure is evaluated at least `repeats` times and for at least
-    MIN_TIMED_SECONDS, and the minimum wall time is kept, so the minimum of
-    a sub-millisecond call does not rest on a few calls that a slowed host
-    inflates alike. aLDG is timed under the asymptotic-norm threshold so the
-    same algorithm runs at every n. The metadata records the fitted log-log
-    slope per measure. Runs sequentially; `threads` is ignored so timings
-    are not distorted by contention.
+    For each n every measure gets the same correlated Gaussian dataset,
+    seeded by n's place in the grid; after a warmup call each measure is
+    evaluated at least `repeats` times and for at least MIN_TIMED_SECONDS,
+    and the minimum wall time is kept, so the minimum of a sub-millisecond
+    call does not rest on a few calls that a slowed host inflates alike.
+    aLDG is timed under the asymptotic-norm threshold so the same algorithm
+    runs at every n. The metadata records the fitted log-log slope per
+    measure. Runs sequentially; `threads` is ignored so timings are not
+    distorted by contention.
     """
     del threads
     n_grid = [int(v) for v in n_grid]
     tags = [str(k) for k in kinds]
-    wall0, perf0 = time.time(), time.perf_counter()
+    study = _Study("timing", seed, n_grid=n_grid, measures=tags, repeats=repeats)
     spec = GaussianSpec(rho=0.5)
 
     def evaluator(tag):
@@ -785,47 +707,37 @@ def run_timing(
         kind = MeasureKind(tag)
         return lambda d: measure(kind, d)
 
-    rows = []
-    seconds_by_tag = {tag: [] for tag in tags}
-    for ni, n in enumerate(n_grid):
-        data = gaussian_pair(spec, n, seed=child_seed(seed, ni))
-        for tag in tags:
-            fn = evaluator(tag)
+    def one(cell, ni, ti):
+        data = gaussian_pair(spec, n_grid[ni], seed=child_seed(seed, ni))
+        fn = evaluator(tags[ti])
+        fn(data)
+        best, calls, deadline = math.inf, 0, time.perf_counter() + MIN_TIMED_SECONDS
+        while calls < repeats or time.perf_counter() < deadline:
+            t0 = time.perf_counter()
             fn(data)
-            best, calls, deadline = math.inf, 0, time.perf_counter() + MIN_TIMED_SECONDS
-            while calls < repeats or time.perf_counter() < deadline:
-                t0 = time.perf_counter()
-                fn(data)
-                best = min(best, time.perf_counter() - t0)
-                calls += 1
-            best = max(best, 1e-9)
-            seconds_by_tag[tag].append(best)
-            rows.append([tag, n, best, math.log10(n), math.log10(best)])
+            best = min(best, time.perf_counter() - t0)
+            calls += 1
+        return max(best, 1e-9)
+
+    seconds = study.grid(one, len(n_grid), len(tags))
+    rows = [
+        [tag, n, best, math.log10(n), math.log10(best)]
+        for n, per_tag in zip(n_grid, seconds)
+        for tag, best in zip(tags, per_tag)
+    ]
 
     # A slope needs at least two sample sizes; leave the mapping empty otherwise.
     slopes = {}
     if len(n_grid) >= 2:
         log_n = np.log10(np.asarray(n_grid, dtype=float))
-        for tag in tags:
-            log_s = np.log10(np.asarray(seconds_by_tag[tag]))
+        for ti, tag in enumerate(tags):
+            log_s = np.log10(np.asarray([per_tag[ti] for per_tag in seconds]))
             slopes[tag] = round(float(np.polyfit(log_n, log_s, 1)[0]), 4)
-
-    meta = {
-        "name": "timing",
-        "parameters": {"n_grid": n_grid, "measures": tags, "repeats": repeats},
-        "seed": seed,
-        "timing": {
-            "slopes": slopes,
-            "started_unix": round(wall0, 3),
-            "total_seconds": round(time.perf_counter() - perf0, 6),
-        },
-    }
-    return ExperimentReport(
-        "timing",
+    return study.report(
         ["measure", "n", "seconds", "log10_n", "log10_seconds"],
         rows,
-        meta,
         plot={"x": "log10_n", "y": "log10_seconds", "group": "measure"},
+        slopes=slopes,
     )
 
 

@@ -35,7 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewSamples, ZeroMarginalDensity, ZeroVariance
+from ._util import unit_scaled
+from .errors import (
+    DepgapError,
+    DimensionMismatch,
+    TooFewSamples,
+    ZeroMarginalDensity,
+    ZeroVariance,
+)
 
 
 @dataclass
@@ -100,6 +107,31 @@ class GaussianSpec:
             raise ValueError("sigmas must be positive")
 
 
+def _sample_sd(values: np.ndarray) -> float:
+    """Sample standard deviation (divisor n-1), taken of the unit-scaled values.
+
+    The scaling back is exact, so the bits are np.std's wherever its squares
+    stay normal floats, and elsewhere they can neither overflow nor underflow.
+    """
+    scaled, e = unit_scaled(values)
+    try:
+        return math.ldexp(float(np.std(scaled, ddof=1)), e)
+    except OverflowError:
+        raise DepgapError("standard deviation exceeds the float range") from None
+
+
+def _scaled_pair(a: float, b: float) -> tuple:
+    """(a * 2**-ea, b * 2**-eb, k) for positive a and b, both scaled into [0.5, 2).
+
+    ea + eb = 2k is even, so the square root of the scaled product times
+    2**k is exactly the root of a * b, where a * b is a normal float, and
+    stays in range where it is not.
+    """
+    ea, eb = math.frexp(a)[1], math.frexp(b)[1]
+    eb += (ea + eb) % 2
+    return math.ldexp(a, -ea), math.ldexp(b, -eb), (ea + eb) // 2
+
+
 def default_bandwidth(values) -> float:
     """Boxcar bandwidth sigma_hat * n**(-1/6), sample standard deviation with divisor n-1.
 
@@ -109,12 +141,14 @@ def default_bandwidth(values) -> float:
         If fewer than 2 values are given.
     ZeroVariance
         If all values are equal.
+    DepgapError
+        If the standard deviation exceeds the float range.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
         raise TooFewSamples("bandwidth selection needs at least 2 values")
-    sd = float(np.std(values, ddof=1))
+    sd = _sample_sd(values)
     if sd == 0.0:
         raise ZeroVariance("bandwidth selection met a constant sequence")
     return sd * n ** (-1.0 / 6.0)
@@ -295,13 +329,21 @@ def window_counts(sample: PairedSample, cfg: KdeConfig):
 
 
 def t_from_counts(cx, cy, cxy, cfg: KdeConfig) -> np.ndarray:
-    """Gap statistic T at sample points from their closed window counts."""
+    """Gap statistic T at sample points from their closed window counts.
+
+    The densities are formed with the bandwidths scaled by powers of two
+    into [0.5, 2), and T is scaled back by the root of that factor
+    (`_scaled_pair`). Both steps are exact, so T keeps its bits where the
+    plain densities are normal floats, while at extreme bandwidths the
+    densities can no longer overflow or underflow.
+    """
     n = cx.size
-    fx = cx / (2.0 * cfg.h_x) / n
-    fy = cy / (2.0 * cfg.h_y) / n
+    h_x, h_y, k = _scaled_pair(cfg.h_x, cfg.h_y)
+    fx = cx / (2.0 * h_x) / n
+    fy = cy / (2.0 * h_y) / n
     # Same denominator grouping as joint_density: swap-symmetric bits.
-    fxy = cxy / ((2.0 * cfg.h_x) * (2.0 * cfg.h_y)) / n
-    return _gap(fx, fy, fxy)
+    fxy = cxy / ((2.0 * h_x) * (2.0 * h_y)) / n
+    return np.ldexp(_gap(fx, fy, fxy), -k)
 
 
 def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.ndarray:

@@ -9,12 +9,13 @@ uniformly.
 
 import inspect
 import math
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import child_seed, ordered_map
+from ._util import child_seed, ordered_map, unit_scaled
 from .aldg import ThresholdRule, aldg, avgcsn, mean_t
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
 from .kde import Margin, PairedSample, joint_counts
@@ -42,8 +43,11 @@ class MeasureKind:
 
 
 def _pearson(sample: PairedSample) -> float:
-    dx = sample.xs - sample.xs.mean()
-    dy = sample.ys - sample.ys.mean()
+    # r is scale-free, and on unit-scaled values the sums of squares can
+    # neither overflow nor underflow.
+    xs, ys = unit_scaled(sample.xs)[0], unit_scaled(sample.ys)[0]
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
@@ -129,8 +133,12 @@ def _dcor_blocks(rows: int, n: int) -> list:
 
 
 def _dcor(sample: PairedSample) -> float:
-    """Distance correlation from the V-statistic moments S1 + S2 - 2 S3."""
-    xs, ys = sample.xs, sample.ys
+    """Distance correlation from the V-statistic moments S1 + S2 - 2 S3.
+
+    dCor is scale-free, so it is computed on unit-scaled values, whose
+    distance products can neither overflow nor underflow.
+    """
+    xs, ys = unit_scaled(sample.xs)[0], unit_scaled(sample.ys)[0]
     n = sample.n
     s1_xy = s1_xx = s1_yy = 0.0
     row_a = np.zeros(n)
@@ -173,20 +181,36 @@ def median_pairwise_width(values: np.ndarray) -> float:
     return float(np.median(diffs))
 
 
+def _two_squared(width: float) -> float:
+    """2 w^2 for a Gaussian kernel width w; DepgapError when it is not a normal float."""
+    try:
+        value = 2.0 * width**2
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DepgapError(f"HSIC kernel width {width!r} squares outside the float range")
+    return value
+
+
 def _hsic(sample: PairedSample, width: float | None = None) -> float:
     """Biased HSIC with Gaussian kernels exp(-(a-b)^2 / (2 w^2)) per axis.
 
     The width defaults to the per-axis median heuristic; a caller-provided
-    width applies to both axes.
+    width applies to both axes. The heuristic scales with the data, so the
+    kernels are computed on unit-scaled values then, whose squares can
+    neither overflow nor underflow. A width whose square leaves the normal
+    float range raises DepgapError.
     """
     xs, ys = sample.xs, sample.ys
-    n = sample.n
-    wx = median_pairwise_width(xs) if width is None else float(width)
-    wy = median_pairwise_width(ys) if width is None else float(width)
+    if width is None:
+        xs, ys = unit_scaled(xs)[0], unit_scaled(ys)[0]
+        wx, wy = median_pairwise_width(xs), median_pairwise_width(ys)
+    else:
+        wx = wy = float(width)
     if not (wx > 0 and wy > 0):
         raise ValueError("kernel width must be positive")
-    k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / (2.0 * wx**2))
-    l = np.exp(-((ys[:, None] - ys[None, :]) ** 2) / (2.0 * wy**2))
+    k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / _two_squared(wx))
+    l = np.exp(-((ys[:, None] - ys[None, :]) ** 2) / _two_squared(wy))
 
     def center(m):
         row = m.mean(axis=1, keepdims=True)

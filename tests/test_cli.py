@@ -591,6 +591,14 @@ class TestTestCommand:
         assert code == 0
         assert json.loads(out)["p_value"] > 0.05
 
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_nonpositive_n_perms_is_usage_error(self, tmp_path, capsys, value):
+        path = tmp_path / "pairs.csv"
+        write_pairs(PairedSample([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]), path)
+        code, out, err = run_cli(capsys, "test", str(path), "--n-perms", value)
+        assert code == 2
+        assert out == "" and "--n-perms" in err
+
 
 class TestExperimentCommand:
     def test_list(self, capsys):
@@ -641,6 +649,22 @@ class TestExperimentCommand:
             capsys, "experiment", "warp-drive", "--out", str(tmp_path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("name, flag", [
+        ("nonlinearity-grid", "--trials"),
+        ("noise-monotonicity", "--trials"),
+        ("threshold-comparison", "--trials"),
+        ("power-suite", "--n-perms"),
+        ("timing", "--repeats"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, name, flag, value):
+        code, out, err = run_cli(
+            capsys, "experiment", name, "--out", str(tmp_path), flag, value
+        )
+        assert code == 2
+        assert out == "" and flag in err
+        assert not any(tmp_path.iterdir())
 
     def test_full_scale_flag_passes_through(self, tmp_path, capsys):
         # mixture-accumulation has no full-scale preset; the flag is a no-op.

@@ -1,6 +1,7 @@
 """Experiment drivers: schemas, determinism, and report serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,41 @@ class TestWriteReport:
             doc.pop("timing")
             metas.append(doc)
         assert metas[0] == metas[1]
+
+
+# Tiny settings for every experiment whose report bytes must not depend on
+# the thread count; timing's rows are wall-clock by design.
+TINY_RUNS = {
+    "nonlinearity-grid": dict(
+        n=12, trials=2, families=("linear", "circle"), kinds=("pearson", "hoeffd", "aldg")
+    ),
+    "noise-monotonicity": dict(n=20, trials=3, c_grid=(0.0, 0.5), families=("linear", "sine")),
+    "mixture-accumulation": dict(n=30, trials=2),
+    "power-suite": dict(
+        n_grid=(4, 20), families=("linear", "independent"), kinds=("hoeffd", "aldg"),
+        n_perms=10, trials=2,
+    ),
+    "threshold-comparison": dict(n=40, trials=2, small_n=20),
+    "robustness": dict(n=60, trials=2, d_n=2),
+}
+
+
+class TestThreadInvariance:
+    @pytest.mark.parametrize("name", sorted(TINY_RUNS))
+    def test_report_bytes_match_across_threads(self, tmp_path, name):
+        written = []
+        for threads in (1, 2):
+            report = EXPERIMENTS[name](seed=6, threads=threads, **TINY_RUNS[name])
+            paths = write_report(report, tmp_path / str(threads), svg=True)
+            meta = json.loads(Path(paths.pop("meta")).read_text())
+            assert meta.pop("timing")["cell_seconds"]
+            written.append((meta, {kind: Path(p).read_bytes() for kind, p in paths.items()}))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("name", sorted(TINY_RUNS))
+    def test_fewer_than_one_trial_is_rejected(self, name):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            EXPERIMENTS[name](**{**TINY_RUNS[name], "trials": 0})
 
 
 class TestRenderSvg:

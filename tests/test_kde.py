@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depgap import (
+    DepgapError,
     DimensionMismatch,
     GaussianSpec,
     KdeConfig,
@@ -114,6 +115,17 @@ class TestDefaultBandwidth:
             values = rng.normal(size=n)
             expected = float(np.std(values, ddof=1)) * n ** (-1.0 / 6.0)
             assert default_bandwidth(values) == expected
+
+    @pytest.mark.parametrize("exponent", [-1000, 1000])
+    def test_power_of_two_scaling_keeps_the_bits(self, exponent):
+        values = np.random.default_rng(8).normal(size=50)
+        assert default_bandwidth(np.ldexp(values, exponent)) == np.ldexp(
+            default_bandwidth(values), exponent
+        )
+
+    def test_beyond_float_range_is_typed(self):
+        with pytest.raises(DepgapError, match="float range"):
+            default_bandwidth([1.7976931348623157e308, -1.7976931348623157e308])
 
     def test_too_few_and_constant(self):
         with pytest.raises(TooFewSamples):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from depgap import (
     MEASURE_TAGS,
     SIGNED_TAGS,
+    DepgapError,
     MeasureKind,
     PairedSample,
     ThresholdRule,
@@ -66,11 +67,19 @@ _TIED_POOLS = {
 }
 
 
+# Magnitudes whose squares, products or window densities leave the float range.
+_MAGNITUDE_POOLS = {
+    "extreme": _TIED_POOLS["extreme"],
+    "huge": st.floats(-4.0, 4.0).map(lambda v: v * 1e300),
+    "tiny": st.floats(-4.0, 4.0).map(lambda v: v * 1e-170),
+}
+
+
 @st.composite
-def tied_inputs(draw, min_n):
+def tied_inputs(draw, min_n, pools=_TIED_POOLS):
     """Paired values of length min_n..9 from one pool, sometimes with a constant axis."""
     n = draw(st.integers(min_n, 9))
-    pool = _TIED_POOLS[draw(st.sampled_from(sorted(_TIED_POOLS)))]
+    pool = pools[draw(st.sampled_from(sorted(pools)))]
     xs = draw(st.lists(pool, min_size=n, max_size=n))
     ys = draw(st.lists(pool, min_size=n, max_size=n))
     constant = draw(st.sampled_from(["neither", "x", "y"]))
@@ -163,6 +172,54 @@ def test_rank_correlations_on_ties_and_extremes(tag, oracle, inputs):
         assert measure(tag, PairedSample(xs, ys)) == pytest.approx(oracle(xs, ys), rel=1e-12)
 
 
+# Measures whose value does not change when an axis is scaled by a
+# positive factor, so that power-of-two scalings must keep their bits.
+SCALE_FREE_KINDS = {
+    "pearson": MeasureKind("pearson"),
+    "dcor": MeasureKind("dcor"),
+    "hsic": MeasureKind("hsic"),
+    "aldg": MeasureKind("aldg"),
+    "aldg-asymptotic": MeasureKind("aldg", {"rule": ThresholdRule.asymptotic_norm()}),
+    "avgcsn": MeasureKind("avgcsn"),
+}
+
+
+@pytest.mark.parametrize("kind", [*SCALE_FREE_KINDS.values(), MeasureKind("mean-t")],
+                         ids=[*SCALE_FREE_KINDS, "mean-t"])
+@settings(derandomize=True, database=None, deadline=None)
+@given(inputs=tied_inputs(2, _MAGNITUDE_POOLS))
+def test_extreme_magnitudes_give_a_number_or_a_typed_error(kind, inputs):
+    try:
+        value = measure(kind, PairedSample(*inputs))
+    except DepgapError:
+        return
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("kind", SCALE_FREE_KINDS.values(), ids=SCALE_FREE_KINDS)
+@pytest.mark.parametrize("exponents", [(600, 600), (-600, -600), (900, -900)])
+def test_power_of_two_scaling_keeps_the_bits(kind, exponents):
+    for n in (12, 300):
+        s = random_sample(np.random.default_rng(n), n)
+        scaled = PairedSample(np.ldexp(s.xs, exponents[0]), np.ldexp(s.ys, exponents[1]))
+        assert measure(kind, scaled) == measure(kind, s)
+
+
+def test_mean_t_scales_by_the_root_of_the_bandwidths():
+    s = random_sample(np.random.default_rng(5), 80)
+    scaled = PairedSample(np.ldexp(s.xs, 700), np.ldexp(s.ys, 500))
+    assert measure("mean-t", scaled) == np.ldexp(measure("mean-t", s), -600)
+
+
+@pytest.mark.parametrize("tag", ["pearson", "dcor", "hsic", "aldg", "avgcsn", "mean-t"])
+def test_matrix_of_huge_rows_has_no_nan(tag):
+    rng = np.random.default_rng(0)
+    rows = rng.choice([-1e300, 0.0, 1e300], size=(3, 50))
+    result = pairwise_matrix(rows, tag)
+    assert np.isfinite(result.matrix).all()
+    assert result.diagnostics == []
+
+
 class TestHoeffd:
     def test_matches_brute(self):
         rng = np.random.default_rng(83)
@@ -253,6 +310,12 @@ class TestHsic:
         narrow = measure(MeasureKind("hsic", {"width": 0.1}), s)
         default = measure("hsic", s)
         assert narrow != default
+
+    @pytest.mark.parametrize("width", [1e200, 1e-200])
+    def test_width_squared_outside_float_range_is_typed(self, width):
+        s = random_sample(np.random.default_rng(100), 20)
+        with pytest.raises(DepgapError, match="outside the float range"):
+            measure(MeasureKind("hsic", {"width": width}), s)
 
     def test_median_width_helper(self):
         assert median_pairwise_width(np.array([0.0, 1.0, 3.0])) == 2.0
