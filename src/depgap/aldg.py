@@ -20,16 +20,14 @@ from .kde import (
     KdeConfig,
     Margin,
     PairedSample,
+    _axes,
     _gap,
     _gaussian_densities,
-    _sample_sd,
     _scaled_pair,
-    default_config,
     joint_counts,
     t_from_counts,
     t_statistic_at_sample_points,
     t_statistic_population,
-    window_counts,
 )
 from .synth import gaussian_pair
 
@@ -128,18 +126,21 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
     return float(ndtri(1.0 - 1.0 / n)) / (root * n ** (1.0 / 3.0))
 
 
+def _t_of_margins(mx: Margin, my: Margin, cfg: KdeConfig) -> np.ndarray:
+    """Gap statistic T at every sample point from the two margins at cfg."""
+    return t_from_counts(mx.counts, my.counts, joint_counts(mx, my), cfg)
+
+
 def _shuffled_t_values(mx: Margin, my: Margin, cfg: KdeConfig, seed: int, index: int):
     # T on (xs, ys[perm]): the shuffled y margin is my permuted, so only the
     # joint count is new.
     shuffled = my.permuted(child_rng(seed, index).permutation(my.rank.size))
-    return t_from_counts(mx.counts, shuffled.counts, joint_counts(mx, shuffled), cfg)
+    return _t_of_margins(mx, shuffled, cfg)
 
 
-def _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads) -> list:
+def _shuffled_t_arrays(mx: Margin, my: Margin, cfg, n_shuffles, seed, threads) -> list:
     if n_shuffles is None:
-        n_shuffles = default_n_shuffles(sample.n)
-    mx = Margin.of(sample.xs, cfg.h_x)
-    my = Margin.of(sample.ys, cfg.h_y)
+        n_shuffles = default_n_shuffles(mx.rank.size)
     return ordered_map(
         lambda index: _shuffled_t_values(mx, my, cfg, seed, index),
         range(n_shuffles),
@@ -170,7 +171,8 @@ def threshold_uniform_error(
     those maxima estimates the uniform estimation error of T under
     independence. Defaults to max(1000 // n, 5) shuffles.
     """
-    return _median_of_maxima(_shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads))
+    mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
+    return _median_of_maxima(_shuffled_t_arrays(mx, my, cfg, n_shuffles, seed, threads))
 
 
 def threshold_inflection_point(
@@ -192,7 +194,11 @@ def threshold_inflection_point(
     """
     if grid is not None:
         grid = _checked_grid(grid)
-    t_arrays = _shuffled_t_arrays(sample, cfg, n_shuffles, seed, threads)
+    mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
+    return _inflection_point(_shuffled_t_arrays(mx, my, cfg, n_shuffles, seed, threads), grid)
+
+
+def _inflection_point(t_arrays, grid) -> float:
     if grid is None:
         upper = 2.0 * _median_of_maxima(t_arrays)
         if not upper > 0:
@@ -238,29 +244,38 @@ def aldg(
     """
     if rule is None:
         rule = ThresholdRule.auto()
-    if cfg is None:
-        cfg = default_config(sample)
-    resolved = _resolve_rule(rule, sample.n)
-    if resolved.kind == "fixed":
-        t = float(resolved.t)
-    elif resolved.kind == "asymptotic-norm":
-        t = threshold_asymptotic_norm(sample.n, _sample_sd(sample.xs), _sample_sd(sample.ys))
-    elif resolved.kind == "uniform-error":
-        t = threshold_uniform_error(
-            sample, cfg, resolved.n_shuffles, resolved.seed, threads
-        )
+    x, y, cfg = _axes(sample, cfg)
+    return _aldg_of_axes(x, y, cfg, _resolve_rule(rule, sample.n), threads)
+
+
+def _aldg_of_axes(x, y, cfg: KdeConfig, rule: ThresholdRule, threads: int = 1) -> AldgResult:
+    """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
+
+    Both margins are built once and serve the shuffles and the final count.
+    """
+    mx, my = x.margin(), y.margin()
+    if rule.kind == "fixed":
+        t = float(rule.t)
+    elif rule.kind == "asymptotic-norm":
+        t = threshold_asymptotic_norm(x.values.size, x.sd, y.sd)
     else:
-        t = threshold_inflection_point(
-            sample, cfg, resolved.grid, resolved.n_shuffles, resolved.seed, threads
-        )
-    return AldgResult(aldg_fixed_t(sample, cfg, max(t, 0.0)), max(t, 0.0), resolved)
+        t_arrays = _shuffled_t_arrays(mx, my, cfg, rule.n_shuffles, rule.seed, threads)
+        if rule.kind == "uniform-error":
+            t = _median_of_maxima(t_arrays)
+        else:
+            t = _inflection_point(t_arrays, rule.grid)
+    t = max(t, 0.0)
+    tvals = _t_of_margins(mx, my, cfg)
+    return AldgResult(int(np.count_nonzero(tvals >= t)) / tvals.size, t, rule)
 
 
 def mean_t(sample: PairedSample, cfg: KdeConfig | None = None) -> float:
     """Arithmetic mean of the gap statistic T over all sample points."""
-    if cfg is None:
-        cfg = default_config(sample)
-    return float(np.mean(t_statistic_at_sample_points(sample, cfg)))
+    return _mean_t_of_axes(*_axes(sample, cfg))
+
+
+def _mean_t_of_axes(x, y, cfg: KdeConfig) -> float:
+    return float(np.mean(_t_of_margins(x.margin(), y.margin(), cfg)))
 
 
 def avgcsn(
@@ -278,12 +293,19 @@ def avgcsn(
     inequality), and the indicators are averaged. Degenerate tables, where a
     marginal count is 0 or n, contribute indicator 0.
     """
+    _check_alpha(alpha)
+    return _avgcsn_of_axes(*_axes(sample, cfg), alpha)
+
+
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if cfg is None:
-        cfg = default_config(sample)
-    nx, ny, nxy = window_counts(sample, cfg)
-    n = sample.n
+
+
+def _avgcsn_of_axes(x, y, cfg: KdeConfig, alpha: float) -> float:
+    mx, my = x.margin(), y.margin()
+    nx, ny, nxy = mx.counts, my.counts, joint_counts(mx, my)
+    n = nx.size
     z = float(ndtri(1.0 - alpha))
     denom = nx * ny * (n - nx) * (n - ny)
     ok = denom > 0
@@ -297,17 +319,20 @@ def avgcsn(
 
 
 def population_aldg_gaussian(
-    spec: GaussianSpec, t: float, n_mc: int = 100_000, seed: int = 0
-) -> float:
+    spec: GaussianSpec, t, n_mc: int = 100_000, seed: int = 0
+) -> float | np.ndarray:
     """Monte Carlo estimate of Pr{T(X, Y) > t} for a bivariate Gaussian.
 
     The population definition uses the strict inequality, so independence
-    (rho = 0) gives exactly 0 at every t >= 0.
+    (rho = 0) gives exactly 0 at every t >= 0. t may also be an array of
+    thresholds, all compared with one draw; the result then has t's shape.
     """
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000")
     draw = gaussian_pair(spec, n_mc, seed)
-    return float(np.mean(t_statistic_population(spec, draw.xs, draw.ys) > t))
+    tvals = t_statistic_population(spec, draw.xs, draw.ys)
+    share = np.count_nonzero(tvals > np.asarray(t, dtype=float)[..., None], axis=-1) / n_mc
+    return float(share) if np.ndim(t) == 0 else share
 
 
 def influence_approx(

@@ -574,15 +574,8 @@ def run_threshold_comparison(
     for k in range(default_n_shuffles(n)):
         shuffled = shuffle_y(data, seed=child_seed(rule_root, k))
         rows += curve_rows(f"shuffle-{k}", t_statistic_at_sample_points(shuffled, cfg))
-    for t in grid:
-        rows.append(
-            [
-                "curve",
-                "population",
-                float(t),
-                population_aldg_gaussian(spec, float(t), seed=child_seed(rule_root, 50)),
-            ]
-        )
+    population = population_aldg_gaussian(spec, grid, seed=child_seed(rule_root, 50))
+    rows += [["curve", "population", float(t), float(share)] for t, share in zip(grid, population)]
 
     rule_makers = (
         ("uniform-error", lambda s: ThresholdRule.uniform_error(seed=s)),

@@ -16,9 +16,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import child_seed, ordered_map, unit_scaled
-from .aldg import ThresholdRule, aldg, avgcsn, mean_t
+from .aldg import (
+    ThresholdRule,
+    _aldg_of_axes,
+    _avgcsn_of_axes,
+    _check_alpha,
+    _mean_t_of_axes,
+    _resolve_rule,
+    aldg,
+    avgcsn,
+    mean_t,
+)
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
-from .kde import Margin, PairedSample, joint_counts
+from .kde import KdeConfig, Margin, PairedSample, _Axis, joint_counts
 
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
@@ -102,10 +112,7 @@ def _hoeffd(sample: PairedSample) -> float:
 
 def _tie_margins(sample: PairedSample) -> tuple[Margin, Margin]:
     """Width-0 margins: lo counts the values below each point, hi those at or below it."""
-    # Differences of values near +-1.8e308 overflow to infinities of the
-    # right sign, which the window test reads correctly.
-    with np.errstate(over="ignore"):
-        return Margin.of(sample.xs, 0.0), Margin.of(sample.ys, 0.0)
+    return Margin.of(sample.xs, 0.0), Margin.of(sample.ys, 0.0)
 
 
 def _below(rank: np.ndarray, edge: np.ndarray) -> Margin:
@@ -237,8 +244,11 @@ def _hhg(sample: PairedSample) -> float:
     block = max(1, int(250_000 // (n * n)))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dx = np.abs(xs[None, :] - xs[start:stop, None])
-        dy = np.abs(ys[None, :] - ys[start:stop, None])
+        # Distances between values near +-1.8e308 overflow to inf, which
+        # still compares correctly against every finite radius.
+        with np.errstate(over="ignore"):
+            dx = np.abs(xs[None, :] - xs[start:stop, None])
+            dy = np.abs(ys[None, :] - ys[start:stop, None])
         in_x = dx[:, None, :] <= dx[:, :, None]
         in_y = dy[:, None, :] <= dy[:, :, None]
         # The center (k = i) and the radius point (k = j) always satisfy the
@@ -309,6 +319,67 @@ def _mean_t_measure(sample: PairedSample) -> float:
     return mean_t(sample)
 
 
+# The local-density family on rows prepared once (`kde._Axis`): for rows
+# of n values, f(n, seed, **params) gives the function of (task index, x
+# row, y row, their KdeConfig) that equals the measure of
+# kind_with_seed(kind, child_seed(seed, index)) on the pair.
+
+
+def _aldg_pairs(n: int, seed: int, rule: ThresholdRule | None = None):
+    # n is fixed, so the rule is resolved once; only shuffles read the seed.
+    rule = _resolve_rule(ThresholdRule.auto() if rule is None else rule, n)
+    if rule.kind in ("uniform-error", "inflection-point"):
+        return lambda index, x, y, cfg: _aldg_of_axes(
+            x, y, cfg, replace(rule, seed=child_seed(seed, index))).value
+    return lambda index, x, y, cfg: _aldg_of_axes(x, y, cfg, rule).value
+
+
+def _avgcsn_pairs(n: int, seed: int, alpha: float = 0.01):
+    _check_alpha(alpha)
+    return lambda index, x, y, cfg: _avgcsn_of_axes(x, y, cfg, alpha)
+
+
+def _mean_t_pairs(n: int, seed: int):
+    return lambda index, x, y, cfg: _mean_t_of_axes(x, y, cfg)
+
+
+_PREPARED_PAIRS = {"aldg": _aldg_pairs, "avgcsn": _avgcsn_pairs, "mean-t": _mean_t_pairs}
+
+
+def _prepared_pair_values(kind: MeasureKind, data: np.ndarray, seed: int, threads: int):
+    """The value of task (index, i, j) from rows prepared once, or its DepgapError.
+
+    Errors come in the order of measure(kind, PairedSample(data[i],
+    data[j])): PairedSample's checks, the measure's parameter checks, then
+    the bandwidths, the x row's first.
+    """
+    rows = ordered_map(_prepared_row, data, threads)
+    # Every row has its diagonal task, so some task reaches the parameter
+    # checks iff some row passes PairedSample's.
+    if any(row is not None for row in rows):
+        pair_value = _PREPARED_PAIRS[kind.tag](data.shape[1], seed, **kind.params)
+
+    def value_of(index, i, j):
+        x, y = rows[i], rows[j]
+        if x is None or y is None:
+            PairedSample(data[i], data[j])  # raises the checks' own error
+        failed = [row for row in (x, y) if isinstance(row, DepgapError)]
+        return failed[0] if failed else pair_value(index, x, y, KdeConfig(x.h, y.h))
+
+    return value_of
+
+
+def _prepared_row(row: np.ndarray):
+    """A row's `_Axis` at the default bandwidth, its bandwidth's DepgapError,
+    or None when PairedSample's checks fail on it (too few or non-finite values)."""
+    if row.size < 2 or not np.isfinite(row).all():
+        return None
+    try:
+        return _Axis(row)
+    except DepgapError as exc:
+        return exc
+
+
 _IMPLS = {
     "pearson": _pearson,
     "spearman": _spearman,
@@ -373,7 +444,10 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
     against itself otherwise. Pair failures become NaN entries plus a
     diagnostics record instead of aborting the whole matrix. Stochastic
     measures receive per-task seeds derived from (seed, task index), so the
-    result does not depend on the thread count.
+    result does not depend on the thread count. For the local-density
+    family (aldg, avgcsn, mean-t) each row's standard deviation, bandwidth
+    and window margin are prepared once, so a pair only counts its joint
+    windows and applies its threshold rule.
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
@@ -384,11 +458,15 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     self_is_one = kind.tag in ("pearson", "spearman", "kendall", "dcor")
 
+    if kind.tag in _PREPARED_PAIRS:
+        value_of = _prepared_pair_values(kind, data, seed, threads)
+    else:
+        def value_of(index, i, j):
+            return measure(kind, PairedSample(data[i], data[j]))
+
     def one(task):
-        index, i, j = task
         try:
-            task_kind = kind_with_seed(kind, child_seed(seed, index))
-            return measure(task_kind, PairedSample(data[i], data[j]))
+            return value_of(*task)
         except DepgapError as exc:
             return exc
 

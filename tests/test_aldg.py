@@ -302,6 +302,32 @@ class TestAldgDriver:
         rule = ThresholdRule.uniform_error(seed=11)
         assert aldg(s, rule, threads=1).value == aldg(s, rule, threads=4).value
 
+    @pytest.mark.parametrize("kind", ["auto", "uniform-error", "inflection-point",
+                                      "asymptotic-norm", "fixed"])
+    @pytest.mark.parametrize("given_cfg", [False, True])
+    def test_equals_fixed_t_count_at_the_rules_threshold(self, kind, given_cfg):
+        # The rule's threshold and the final count share one pair of margins;
+        # both must keep the bits of the public functions run on their own.
+        rng = np.random.default_rng(65)
+        for n in (60, 260):
+            s = random_sample(rng, n)
+            cfg = KdeConfig(0.4, 0.6) if given_cfg else default_config(s)
+            sds = float(np.std(s.xs, ddof=1)), float(np.std(s.ys, ddof=1))
+            shuffles = default_n_shuffles(n)
+            if kind == "fixed":
+                rule, t = ThresholdRule.fixed(0.05), 0.05
+            elif kind == "asymptotic-norm" or (kind == "auto" and n > 200):
+                rule, t = ThresholdRule(kind), threshold_asymptotic_norm(n, *sds)
+            elif kind == "inflection-point":
+                rule = ThresholdRule.inflection_point(seed=8)
+                t = threshold_inflection_point(s, cfg, n_shuffles=shuffles, seed=8)
+            else:
+                rule = ThresholdRule(kind, seed=8)
+                t = threshold_uniform_error(s, cfg, n_shuffles=shuffles, seed=8)
+            res = aldg(s, rule, cfg if given_cfg else None)
+            assert res.t_used == max(t, 0.0)
+            assert res.value == aldg_fixed_t(s, cfg, max(t, 0.0))
+
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(64)
         for _ in range(5):
@@ -387,6 +413,14 @@ class TestPopulationAldg:
         )
         got = population_aldg_gaussian(spec, t, n_mc=n_mc, seed=seed)
         assert abs(got - hits / n_mc) <= 2.0 / n_mc
+
+    def test_threshold_array_shares_one_draw(self):
+        spec = GaussianSpec(rho=0.5)
+        grid = np.linspace(0.0, 0.5, 11)
+        got = population_aldg_gaussian(spec, grid, n_mc=5000, seed=7)
+        assert got.shape == grid.shape
+        for t, share in zip(grid, got):
+            assert share == population_aldg_gaussian(spec, float(t), n_mc=5000, seed=7)
 
     def test_non_increasing_in_t(self):
         spec = GaussianSpec(rho=0.7)

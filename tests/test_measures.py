@@ -24,6 +24,7 @@ from depgap import (
     median_pairwise_width,
     pairwise_matrix,
 )
+from depgap._util import child_seed
 from depgap.measures import kind_with_seed
 from oracles import (
     dcor_brute,
@@ -73,6 +74,11 @@ _MAGNITUDE_POOLS = {
     "huge": st.floats(-4.0, 4.0).map(lambda v: v * 1e300),
     "tiny": st.floats(-4.0, 4.0).map(lambda v: v * 1e-170),
 }
+
+
+# Values near +-1.8e308 overflow intermediate differences to infinities
+# that the code reads correctly, so the extreme-pool tests allow no warning.
+NO_RUNTIME_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @st.composite
@@ -160,6 +166,7 @@ class TestKendall:
             measure("kendall", PairedSample([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
 
 
+@NO_RUNTIME_WARNINGS
 @pytest.mark.parametrize("tag, oracle", [("spearman", spearman_brute), ("kendall", kendall_taub_brute)])
 @settings(derandomize=True, database=None, deadline=None)
 @given(inputs=tied_inputs(3))
@@ -184,6 +191,7 @@ SCALE_FREE_KINDS = {
 }
 
 
+@NO_RUNTIME_WARNINGS
 @pytest.mark.parametrize("kind", [*SCALE_FREE_KINDS.values(), MeasureKind("mean-t")],
                          ids=[*SCALE_FREE_KINDS, "mean-t"])
 @settings(derandomize=True, database=None, deadline=None)
@@ -211,6 +219,7 @@ def test_mean_t_scales_by_the_root_of_the_bandwidths():
     assert measure("mean-t", scaled) == np.ldexp(measure("mean-t", s), -600)
 
 
+@NO_RUNTIME_WARNINGS
 @pytest.mark.parametrize("tag", ["pearson", "dcor", "hsic", "aldg", "avgcsn", "mean-t"])
 def test_matrix_of_huge_rows_has_no_nan(tag):
     rng = np.random.default_rng(0)
@@ -229,6 +238,7 @@ class TestHoeffd:
                 hoeffd_brute(s.xs, s.ys), rel=1e-12, abs=1e-12
             )
 
+    @NO_RUNTIME_WARNINGS
     @settings(derandomize=True, database=None, deadline=None)
     @given(tied_inputs(5))
     def test_matches_brute_on_ties_and_extremes(self, inputs):
@@ -333,6 +343,15 @@ class TestHhg:
                 hhg_brute(s.xs.tolist(), s.ys.tolist()), rel=1e-10, abs=1e-9
             )
 
+    @NO_RUNTIME_WARNINGS
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(tied_inputs(4))
+    def test_matches_brute_on_ties_and_extremes(self, inputs):
+        xs, ys = inputs
+        assert measure("hhg", PairedSample(xs, ys)) == pytest.approx(
+            hhg_brute(xs, ys), rel=1e-10, abs=1e-9
+        )
+
     def test_needs_four_observations(self):
         with pytest.raises(TooFewSamples):
             measure("hhg", PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
@@ -347,6 +366,7 @@ class TestMatchingRanks:
                 mr_brute(s.xs.tolist(), s.ys.tolist(), 3), rel=1e-12
             )
 
+    @NO_RUNTIME_WARNINGS
     @settings(derandomize=True, database=None, deadline=None)
     @given(tied_inputs(3))
     def test_equals_brute_on_ties_and_extremes(self, inputs):
@@ -482,6 +502,51 @@ class TestPairwiseMatrix:
         one = pairwise_matrix(data, "aldg", threads=1, seed=3)
         four = pairwise_matrix(data, "aldg", threads=4, seed=3)
         assert np.array_equal(one.matrix, four.matrix)
+
+    # The local-density family runs on rows prepared once; n = 60 and 260
+    # take the auto rule's uniform-error and asymptotic-norm branches.
+    PREPARED_KINDS = {
+        "aldg-auto": MeasureKind("aldg"),
+        "aldg-uniform-error": MeasureKind("aldg", {"rule": ThresholdRule.uniform_error(n_shuffles=4)}),
+        "aldg-inflection-point": MeasureKind(
+            "aldg", {"rule": ThresholdRule.inflection_point(n_shuffles=4)}),
+        "aldg-fixed": MeasureKind("aldg", {"rule": ThresholdRule.fixed(0.05)}),
+        "mean-t": MeasureKind("mean-t"),
+        "avgcsn": MeasureKind("avgcsn", {"alpha": 0.1}),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [60, 260])
+    @pytest.mark.parametrize("name", PREPARED_KINDS)
+    def test_prepared_rows_equal_per_pair_measure(self, name, n, threads):
+        kind, seed = self.PREPARED_KINDS[name], 5
+        rng = np.random.default_rng(139)
+        data = self.make_table(rng, p=7, n=n)
+        data[1] = 7.0  # constant: ZeroVariance
+        data[2] = rng.choice([-1e300, 0.0, 1e300], size=n)  # a number
+        data[3] = np.tile([-1.7976931348623157e308, 1.7976931348623157e308], n // 2)  # sd overflows
+        data[5] = -2.0  # constant
+        data[6, 3] = np.nan  # fails PairedSample's checks
+        tasks = [(i, j) for i in range(7) for j in range(i + 1, 7)] + [(i, i) for i in range(7)]
+        want = np.empty((7, 7))
+        diagnostics = []
+        for index, (i, j) in enumerate(tasks):
+            try:
+                value = measure(kind_with_seed(kind, child_seed(seed, index)),
+                                PairedSample(data[i], data[j]))
+            except DepgapError as exc:
+                diagnostics.append({"i": i, "j": j, "error": type(exc).__name__,
+                                    "message": str(exc)})
+                value = math.nan
+            want[i, j] = want[j, i] = value
+        got = pairwise_matrix(data, kind, threads=threads, seed=seed)
+        assert got.matrix.tobytes() == want.tobytes()
+        assert got.diagnostics == diagnostics
+        errors = {(d["i"], d["j"]): d["error"] for d in got.diagnostics}
+        # PairedSample's checks come first; of two failing rows, x's error.
+        assert all(errors[(i, 6)] == "DimensionMismatch" for i in range(7))
+        assert errors[(1, 3)] == "ZeroVariance" and errors[(3, 5)] == "DepgapError"
+        assert errors[(1, 2)] == "ZeroVariance" and errors[(2, 5)] == "ZeroVariance"
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
