@@ -32,6 +32,8 @@ from .kde import (
 from .synth import gaussian_pair
 
 RULE_KINDS = ("fixed", "uniform-error", "asymptotic-norm", "inflection-point", "auto")
+# The rules that draw y-shuffles, and so read their seed.
+_SHUFFLE_KINDS = ("uniform-error", "inflection-point")
 
 
 def default_n_shuffles(n: int) -> int:
@@ -215,14 +217,18 @@ def _inflection_point(t_arrays, grid) -> float:
     return float(np.median([one(tvals) for tvals in t_arrays]))
 
 
-def _resolve_rule(rule: ThresholdRule, n: int) -> ThresholdRule:
+def _resolve_rule(rule: ThresholdRule | None, n: int) -> ThresholdRule:
+    """The rule that applies at sample size n: auto (also None) picks its
+    branch, and the shuffle rules get their default shuffle count."""
+    if rule is None:
+        rule = ThresholdRule.auto()
     if rule.kind != "auto":
         resolved = rule
     elif n <= 200:
         resolved = ThresholdRule.uniform_error(seed=rule.seed)
     else:
         resolved = ThresholdRule.asymptotic_norm()
-    if resolved.kind in ("uniform-error", "inflection-point") and resolved.n_shuffles is None:
+    if resolved.kind in _SHUFFLE_KINDS and resolved.n_shuffles is None:
         resolved = ThresholdRule(
             resolved.kind,
             n_shuffles=default_n_shuffles(n),
@@ -242,17 +248,16 @@ def aldg(
 
     Bandwidths default to sigma_hat * n^{-1/6} per axis when cfg is omitted.
     """
-    if rule is None:
-        rule = ThresholdRule.auto()
-    x, y, cfg = _axes(sample, cfg)
-    return _aldg_of_axes(x, y, cfg, _resolve_rule(rule, sample.n), threads)
+    x, y = _axes(sample, cfg)
+    return _aldg_of_axes(x, y, _resolve_rule(rule, sample.n), threads)
 
 
-def _aldg_of_axes(x, y, cfg: KdeConfig, rule: ThresholdRule, threads: int = 1) -> AldgResult:
+def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
     """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
 
     Both margins are built once and serve the shuffles and the final count.
     """
+    cfg = KdeConfig(x.h, y.h)
     mx, my = x.margin(), y.margin()
     if rule.kind == "fixed":
         t = float(rule.t)
@@ -274,7 +279,8 @@ def mean_t(sample: PairedSample, cfg: KdeConfig | None = None) -> float:
     return _mean_t_of_axes(*_axes(sample, cfg))
 
 
-def _mean_t_of_axes(x, y, cfg: KdeConfig) -> float:
+def _mean_t_of_axes(x, y) -> float:
+    cfg = KdeConfig(x.h, y.h)
     return float(np.mean(_t_of_margins(x.margin(), y.margin(), cfg)))
 
 
@@ -302,7 +308,8 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _avgcsn_of_axes(x, y, cfg: KdeConfig, alpha: float) -> float:
+def _avgcsn_of_axes(x, y, alpha: float = 0.01) -> float:
+    KdeConfig(x.h, y.h)  # the bandwidths' own check, as in aLDG and mean-T
     mx, my = x.margin(), y.margin()
     nx, ny, nxy = mx.counts, my.counts, joint_counts(mx, my)
     n = nx.size

@@ -221,9 +221,13 @@ def _resolve_seed(flag_value, fallback: int = 0) -> int:
 
 
 def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
+    if kind != "fixed" and t is not None:
+        raise _UsageError(f"--t applies only to --threshold-rule fixed, not {kind}")
     if kind == "fixed":
         if t is None:
             raise _UsageError("--threshold-rule fixed requires --t")
+        if not t >= 0:
+            raise _UsageError(f"--t must be a threshold >= 0, got {t}")
         return ThresholdRule.fixed(t)
     if kind == "uniform-error":
         return ThresholdRule.uniform_error(seed=seed)
@@ -235,18 +239,24 @@ def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
 
 
 def _measure_kind(args, seed: int) -> MeasureKind:
+    """The measure the flags ask for; the threshold flags apply to aldg alone."""
     if args.measure == "aldg":
-        return MeasureKind("aldg", {"rule": _make_rule(args.threshold_rule, args.t, seed)})
+        rule = _make_rule(args.threshold_rule or "auto", args.t, seed)
+        return MeasureKind("aldg", {"rule": rule})
+    if args.threshold_rule is not None or args.t is not None:
+        raise _UsageError(
+            f"--threshold-rule and --t apply only to --measure aldg, not {args.measure}")
     return MeasureKind(args.measure)
 
 
 def cmd_measure(args) -> int:
     seed = _resolve_seed(args.seed)
+    kind = _measure_kind(args, seed)
     table = ingest(args.data, args.format, args.transform)
     sample = PairedSample(table.row(args.x_row), table.row(args.y_row))
     t0 = time.perf_counter()
-    if args.measure == "aldg":
-        result = aldg(sample, _make_rule(args.threshold_rule, args.t, seed), threads=args.threads)
+    if kind.tag == "aldg":
+        result = aldg(sample, kind.params["rule"], threads=args.threads)
         payload = {
             "measure": "aldg",
             "value": result.value,
@@ -261,7 +271,7 @@ def cmd_measure(args) -> int:
     else:
         payload = {
             "measure": args.measure,
-            "value": measure(args.measure, sample),
+            "value": measure(kind, sample),
         }
     payload["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     print(json.dumps(payload, sort_keys=True))
@@ -270,8 +280,8 @@ def cmd_measure(args) -> int:
 
 def cmd_matrix(args) -> int:
     seed = _resolve_seed(args.seed)
-    table = ingest(args.data, args.format, args.transform)
     kind = _measure_kind(args, seed)
+    table = ingest(args.data, args.format, args.transform)
     result = pairwise_matrix(table.values, kind, threads=args.threads, seed=seed)
 
     out = Path(args.out)
@@ -317,8 +327,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_test(args) -> int:
     seed = _resolve_seed(args.seed)
-    sample = read_pairs(args.data)
     kind = _measure_kind(args, seed)
+    sample = read_pairs(args.data)
     result = permutation_test(kind, sample, n_perms=args.n_perms, seed=seed, threads=args.threads)
     print(
         json.dumps(
@@ -401,8 +411,8 @@ def _add_ingest_flags(p):
 
 def _add_measure_flags(p):
     p.add_argument("--measure", choices=MEASURE_TAGS, default="aldg")
-    p.add_argument("--threshold-rule", choices=RULE_KINDS, default="auto",
-                   help="threshold rule when --measure aldg")
+    p.add_argument("--threshold-rule", choices=RULE_KINDS, default=None,
+                   help="threshold rule when --measure aldg (default: auto)")
     p.add_argument("--t", type=float, default=None, help="threshold for the fixed rule")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import child_rng, child_seed, ordered_map
 from .kde import PairedSample
-from .measures import SIGNED_TAGS, MeasureKind, kind_with_seed, measure
+from .measures import _MEASURES, SIGNED_TAGS, MeasureKind, _seeded_pair
 from .synth import SynthSpec, generate
 
 
@@ -33,27 +33,34 @@ def permutation_test(
 
     p = (1 + #{b : stat_b >= observed}) / (n_perms + 1), where each stat_b is
     the measure on (xs, permuted ys). aLDG's threshold shuffles are re-seeded
-    per permutation, so the threshold rule is re-resolved on each permuted
-    dataset and the null stays exchangeable.
+    per permutation, so each permuted dataset draws its own threshold and
+    the null stays exchangeable. Statistic b equals
+    measure(kind_with_seed(kind, child_seed(seed, b)), ...), b = 0 being the
+    observed one.
+
+    xs is prepared once (the measure's `prepare` step) and each permuted ys
+    afresh: a permuted axis's standard deviation can differ from the
+    original's in its last bits, since np.std sums in another order.
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
     signed = kind.tag in SIGNED_TAGS
+    prepare = _MEASURES[kind.tag][0]
+    pair = _seeded_pair(kind, sample.n, seed)
+    x = prepare(sample.xs)
 
-    def stat(task_kind, xs, ys):
-        value = measure(task_kind, PairedSample(xs, ys))
+    def stat(b, ys):
+        value = pair(b, x, prepare(ys))
         return abs(value) if signed else value
 
-    observed = stat(kind_with_seed(kind, child_seed(seed, 0)), sample.xs, sample.ys)
-
-    def one(b):
-        rng = child_rng(seed, b)
-        ys = rng.permutation(sample.ys)
-        return stat(kind_with_seed(kind, child_seed(seed, b)), sample.xs, ys)
-
-    null_stats = ordered_map(one, range(1, n_perms + 1), threads)
+    observed = stat(0, sample.ys)
+    null_stats = ordered_map(
+        lambda b: stat(b, child_rng(seed, b).permutation(sample.ys)),
+        range(1, n_perms + 1),
+        threads,
+    )
     exceed = int(np.count_nonzero(np.asarray(null_stats) >= observed))
     return PermTestResult(
         observed=float(observed),

@@ -319,7 +319,8 @@ def joint_counts(mx: Margin, my: Margin) -> np.ndarray:
 
 
 class _Axis:
-    """One axis of a sample, prepared once for the local-density family.
+    """One axis of a sample, prepared once: the local-density family's
+    `prepare` step (see `measures`), so a row serves every pair it is in.
 
     It holds the values (a reference, not a copy), their sample standard
     deviation, the boxcar bandwidth h and the margin at h. h defaults to
@@ -328,7 +329,7 @@ class _Axis:
     index arrays, 24 bytes on a 64-bit platform. `margin()` hands out a new
     `Margin` on those arrays, so the joint-count blocks cached on it
     (`Margin.blocks`, another 40 bytes per value) live only as long as the
-    caller's computation, not on rows that threads share.
+    caller's computation, not on axes that threads share.
     """
 
     def __init__(self, values: np.ndarray, h: float | None = None):
@@ -346,15 +347,14 @@ class _Axis:
 
 
 def _axes(sample: PairedSample, cfg: KdeConfig | None = None) -> tuple:
-    """The sample's two prepared axes and their KdeConfig.
+    """The sample's two prepared axes, at cfg's bandwidths or the defaults.
 
-    Without cfg the bandwidths are the defaults, and their errors are those
-    of `default_config`, the x axis's first.
+    Without cfg the bandwidths' errors are those of `default_config`, the x
+    axis's first.
     """
     if cfg is None:
-        x, y = _Axis(sample.xs), _Axis(sample.ys)
-        return x, y, KdeConfig(x.h, y.h)
-    return _Axis(sample.xs, cfg.h_x), _Axis(sample.ys, cfg.h_y), cfg
+        return _Axis(sample.xs), _Axis(sample.ys)
+    return _Axis(sample.xs, cfg.h_x), _Axis(sample.ys, cfg.h_y)
 
 
 def window_counts(sample: PairedSample, cfg: KdeConfig):

@@ -5,6 +5,14 @@ classical global measures (Pearson, Spearman, Kendall tau-b, Hoeffding's D,
 distance correlation, HSIC, HHG, matching ranks) next to the local-density
 family (aLDG, avgCSN, mean-T), so tests and batch drivers can treat them
 uniformly.
+
+Every entry is two functions. `prepare(values)` does one axis's own work:
+a `kde._Axis` for the local-density family, a width-0 `Margin` for
+Hoeffding's D and matching ranks, the ranks for Spearman, and the values
+themselves for the rest. `pair(x, y, **params)` is the measure on two
+prepared axes. So `measure` is pair(prepare(xs), prepare(ys)), while
+`pairwise_matrix` prepares each row once and `permutation_test` prepares x
+once, whatever the measure.
 """
 
 import inspect
@@ -17,18 +25,16 @@ import numpy as np
 
 from ._util import child_seed, ordered_map, unit_scaled
 from .aldg import (
+    _SHUFFLE_KINDS,
     ThresholdRule,
     _aldg_of_axes,
     _avgcsn_of_axes,
     _check_alpha,
     _mean_t_of_axes,
     _resolve_rule,
-    aldg,
-    avgcsn,
-    mean_t,
 )
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
-from .kde import KdeConfig, Margin, PairedSample, _Axis, joint_counts
+from .kde import Margin, PairedSample, _Axis, joint_counts
 
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
@@ -50,39 +56,45 @@ class MeasureKind:
             raise UnknownMeasure(
                 f"measure {self.tag!r} does not take parameters {sorted(extra)}"
             )
+        if "alpha" in self.params:
+            _check_alpha(self.params["alpha"])
 
 
-def _pearson(sample: PairedSample) -> float:
+def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     # r is scale-free, and on unit-scaled values the sums of squares can
     # neither overflow nor underflow.
-    xs, ys = unit_scaled(sample.xs)[0], unit_scaled(sample.ys)[0]
+    xs, ys = unit_scaled(xs)[0], unit_scaled(ys)[0]
+    # Told by the values, not by the sums of squares: the computed mean of a
+    # constant can miss it by an ulp, as for nine copies of -1.7976931348623157e308.
+    if xs.min() == xs.max() or ys.min() == ys.max():
+        raise ZeroVariance("Pearson correlation needs non-constant inputs")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ZeroVariance("Pearson correlation needs non-constant inputs")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
-def _spearman(sample: PairedSample) -> float:
+def _ranks(values: np.ndarray) -> np.ndarray:
     from scipy.stats import rankdata  # imported here: slow, and most CLI runs never need it
 
-    ranked = PairedSample(rankdata(sample.xs), rankdata(sample.ys))
-    return _pearson(ranked)
+    return rankdata(values)
 
 
-def _kendall(sample: PairedSample) -> float:
+def _kendall(xs: np.ndarray, ys: np.ndarray) -> float:
     from scipy.stats import kendalltau  # imported here: slow, and most CLI runs never need it
 
-    tau = kendalltau(sample.xs, sample.ys, variant="b")[0]
+    tau = kendalltau(xs, ys, variant="b")[0]
     if not np.isfinite(tau):
         raise ZeroVariance("Kendall tau-b is undefined when one input is constant")
     return float(tau)
 
 
-def _hoeffd(sample: PairedSample) -> float:
-    """Classical finite-sample Hoeffding D statistic.
+def _tie_margin(values: np.ndarray) -> Margin:
+    """Width-0 margin: lo counts the values below each point, hi those at or below it."""
+    return Margin.of(values, 0.0)
+
+
+def _hoeffd(mx: Margin, my: Margin) -> float:
+    """Classical finite-sample Hoeffding D statistic, on width-0 margins.
 
     r and s count the points at or below each point on each axis, and c the
     other points at or below it on both axes. Counting ties that way makes
@@ -90,10 +102,9 @@ def _hoeffd(sample: PairedSample) -> float:
     indicators 1{x_j <= x_i}. Slightly negative values are possible for
     nearly independent data.
     """
-    n = sample.n
+    n = mx.rank.size
     if n < 5:
         raise TooFewSamples("Hoeffding's D needs at least 5 observations")
-    mx, my = _tie_margins(sample)
     r = mx.hi.astype(float)
     s = my.hi.astype(float)
     c = (joint_counts(_below(mx.rank, mx.hi), _below(my.rank, my.hi)) - 1).astype(float)
@@ -108,11 +119,6 @@ def _hoeffd(sample: PairedSample) -> float:
     numerator = (n - 2) * (n - 3) * d1 + d2 - 2.0 * (n - 2) * d3
     denominator = float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
     return 30.0 * numerator / denominator
-
-
-def _tie_margins(sample: PairedSample) -> tuple[Margin, Margin]:
-    """Width-0 margins: lo counts the values below each point, hi those at or below it."""
-    return Margin.of(sample.xs, 0.0), Margin.of(sample.ys, 0.0)
 
 
 def _below(rank: np.ndarray, edge: np.ndarray) -> Margin:
@@ -139,14 +145,14 @@ def _dcor_blocks(rows: int, n: int) -> list:
     return [buf[: rows * n].reshape(rows, n) for buf in flat]
 
 
-def _dcor(sample: PairedSample) -> float:
+def _dcor(xs: np.ndarray, ys: np.ndarray) -> float:
     """Distance correlation from the V-statistic moments S1 + S2 - 2 S3.
 
     dCor is scale-free, so it is computed on unit-scaled values, whose
     distance products can neither overflow nor underflow.
     """
-    xs, ys = unit_scaled(sample.xs)[0], unit_scaled(sample.ys)[0]
-    n = sample.n
+    xs, ys = unit_scaled(xs)[0], unit_scaled(ys)[0]
+    n = xs.size
     s1_xy = s1_xx = s1_yy = 0.0
     row_a = np.zeros(n)
     row_b = np.zeros(n)
@@ -199,7 +205,7 @@ def _two_squared(width: float) -> float:
     return value
 
 
-def _hsic(sample: PairedSample, width: float | None = None) -> float:
+def _hsic(xs: np.ndarray, ys: np.ndarray, width: float | None = None) -> float:
     """Biased HSIC with Gaussian kernels exp(-(a-b)^2 / (2 w^2)) per axis.
 
     The width defaults to the per-axis median heuristic; a caller-provided
@@ -208,7 +214,6 @@ def _hsic(sample: PairedSample, width: float | None = None) -> float:
     neither overflow nor underflow. A width whose square leaves the normal
     float range raises DepgapError.
     """
-    xs, ys = sample.xs, sample.ys
     if width is None:
         xs, ys = unit_scaled(xs)[0], unit_scaled(ys)[0]
         wx, wy = median_pairwise_width(xs), median_pairwise_width(ys)
@@ -227,7 +232,7 @@ def _hsic(sample: PairedSample, width: float | None = None) -> float:
     return float(np.mean(center(k) * center(l)))
 
 
-def _hhg(sample: PairedSample) -> float:
+def _hhg(xs: np.ndarray, ys: np.ndarray) -> float:
     """Sum over ordered point pairs of the 2x2 ball-membership chi-square.
 
     For a pair (i, j), the remaining n-2 points are classified by whether
@@ -236,10 +241,9 @@ def _hhg(sample: PairedSample) -> float:
     The computation is O(n^3): one n x n membership table per center i,
     built for blocks of 250_000 // n^2 centers to cut per-center overhead.
     """
-    n = sample.n
+    n = xs.size
     if n < 4:
         raise TooFewSamples("the HHG statistic needs at least 4 observations")
-    xs, ys = sample.xs, sample.ys
     total = 0.0
     block = max(1, int(250_000 // (n * n)))
     for start in range(0, n, block):
@@ -271,7 +275,7 @@ def _hhg(sample: PairedSample) -> float:
     return total
 
 
-def _mr(sample: PairedSample) -> float:
+def _mr(mx: Margin, my: Margin) -> float:
     """Matching ranks: the share of 3-subsequences whose within-subsequence
     rank pattern agrees forward (with y) or backward (with -y), normalized
     by twice the subsequence count.
@@ -289,10 +293,9 @@ def _mr(sample: PairedSample) -> float:
     stable ranks keep tied values in index order, so the identical points
     before a point are those at x ranks [lo, rank) that tie with it on y.
     """
-    n = sample.n
+    n = mx.rank.size
     if n < 3:
         raise TooFewSamples(f"matching ranks needs at least 3 observations, got {n}")
-    mx, my = _tie_margins(sample)
     x_lo, x_hi = _below(mx.rank, mx.lo), _below(mx.rank, mx.hi)
     y_lo, y_hi = _below(my.rank, my.lo), _below(my.rank, my.hi)
     # ll counts the points below a point on both axes, hh those at or below
@@ -307,98 +310,33 @@ def _mr(sample: PairedSample) -> float:
     return (forward + backward) / (2.0 * math.comb(n, 3))
 
 
-def _aldg_measure(sample: PairedSample, rule: ThresholdRule | None = None) -> float:
-    return aldg(sample, rule).value
+def _aldg(x: _Axis, y: _Axis, rule: ThresholdRule | None = None) -> float:
+    return _aldg_of_axes(x, y, _resolve_rule(rule, x.values.size)).value
 
 
-def _avgcsn_measure(sample: PairedSample, alpha: float = 0.01) -> float:
-    return avgcsn(sample, alpha=alpha)
+def _values(values: np.ndarray) -> np.ndarray:
+    return values
 
 
-def _mean_t_measure(sample: PairedSample) -> float:
-    return mean_t(sample)
-
-
-# The local-density family on rows prepared once (`kde._Axis`): for rows
-# of n values, f(n, seed, **params) gives the function of (task index, x
-# row, y row, their KdeConfig) that equals the measure of
-# kind_with_seed(kind, child_seed(seed, index)) on the pair.
-
-
-def _aldg_pairs(n: int, seed: int, rule: ThresholdRule | None = None):
-    # n is fixed, so the rule is resolved once; only shuffles read the seed.
-    rule = _resolve_rule(ThresholdRule.auto() if rule is None else rule, n)
-    if rule.kind in ("uniform-error", "inflection-point"):
-        return lambda index, x, y, cfg: _aldg_of_axes(
-            x, y, cfg, replace(rule, seed=child_seed(seed, index))).value
-    return lambda index, x, y, cfg: _aldg_of_axes(x, y, cfg, rule).value
-
-
-def _avgcsn_pairs(n: int, seed: int, alpha: float = 0.01):
-    _check_alpha(alpha)
-    return lambda index, x, y, cfg: _avgcsn_of_axes(x, y, cfg, alpha)
-
-
-def _mean_t_pairs(n: int, seed: int):
-    return lambda index, x, y, cfg: _mean_t_of_axes(x, y, cfg)
-
-
-_PREPARED_PAIRS = {"aldg": _aldg_pairs, "avgcsn": _avgcsn_pairs, "mean-t": _mean_t_pairs}
-
-
-def _prepared_pair_values(kind: MeasureKind, data: np.ndarray, seed: int, threads: int):
-    """The value of task (index, i, j) from rows prepared once, or its DepgapError.
-
-    Errors come in the order of measure(kind, PairedSample(data[i],
-    data[j])): PairedSample's checks, the measure's parameter checks, then
-    the bandwidths, the x row's first.
-    """
-    rows = ordered_map(_prepared_row, data, threads)
-    # Every row has its diagonal task, so some task reaches the parameter
-    # checks iff some row passes PairedSample's.
-    if any(row is not None for row in rows):
-        pair_value = _PREPARED_PAIRS[kind.tag](data.shape[1], seed, **kind.params)
-
-    def value_of(index, i, j):
-        x, y = rows[i], rows[j]
-        if x is None or y is None:
-            PairedSample(data[i], data[j])  # raises the checks' own error
-        failed = [row for row in (x, y) if isinstance(row, DepgapError)]
-        return failed[0] if failed else pair_value(index, x, y, KdeConfig(x.h, y.h))
-
-    return value_of
-
-
-def _prepared_row(row: np.ndarray):
-    """A row's `_Axis` at the default bandwidth, its bandwidth's DepgapError,
-    or None when PairedSample's checks fail on it (too few or non-finite values)."""
-    if row.size < 2 or not np.isfinite(row).all():
-        return None
-    try:
-        return _Axis(row)
-    except DepgapError as exc:
-        return exc
-
-
-_IMPLS = {
-    "pearson": _pearson,
-    "spearman": _spearman,
-    "kendall": _kendall,
-    "hoeffd": _hoeffd,
-    "dcor": _dcor,
-    "hsic": _hsic,
-    "hhg": _hhg,
-    "mr": _mr,
-    "aldg": _aldg_measure,
-    "avgcsn": _avgcsn_measure,
-    "mean-t": _mean_t_measure,
+# tag: (prepare, pair). The registry order is the CLI's choice order and
+# the experiments' column order; a measure's parameters are its pair
+# function's keywords.
+_MEASURES = {
+    "pearson": (_values, _pearson),
+    "spearman": (_ranks, _pearson),
+    "kendall": (_values, _kendall),
+    "hoeffd": (_tie_margin, _hoeffd),
+    "dcor": (_values, _dcor),
+    "hsic": (_values, _hsic),
+    "hhg": (_values, _hhg),
+    "mr": (_tie_margin, _mr),
+    "aldg": (_Axis, _aldg),
+    "avgcsn": (_Axis, _avgcsn_of_axes),
+    "mean-t": (_Axis, _mean_t_of_axes),
 }
-
-# The registry order is the CLI's choice order and the experiments' column
-# order; a measure's parameters are its implementation's keywords.
-MEASURE_TAGS = tuple(_IMPLS)
+MEASURE_TAGS = tuple(_MEASURES)
 _ALLOWED_PARAMS = {
-    tag: set(inspect.signature(impl).parameters) - {"sample"} for tag, impl in _IMPLS.items()
+    tag: set(list(inspect.signature(pair).parameters)[2:]) for tag, (_, pair) in _MEASURES.items()
 }
 
 
@@ -409,7 +347,8 @@ def measure(kind, sample: PairedSample) -> float:
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
-    return float(_IMPLS[kind.tag](sample, **kind.params))
+    prepare, pair = _MEASURES[kind.tag]
+    return float(pair(prepare(sample.xs), prepare(sample.ys), **kind.params))
 
 
 def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
@@ -421,10 +360,36 @@ def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
     """
     if kind.tag == "aldg":
         rule = kind.params.get("rule") or ThresholdRule.auto()
-        if rule.kind in ("uniform-error", "inflection-point", "auto"):
+        if rule.kind in (*_SHUFFLE_KINDS, "auto"):
             return MeasureKind("aldg", {**kind.params, "rule": replace(rule, seed=seed)})
-        return kind
     return kind
+
+
+def _seeded_pair(kind: MeasureKind, n: int, seed: int):
+    """f(index, x, y): the measure of kind_with_seed(kind, child_seed(seed,
+    index)) on two axes of n values prepared by the kind's `prepare`.
+
+    This is where batch callers resolve aLDG's rule, once for n; a task's
+    seed is derived only when the resolved rule draws shuffles.
+    """
+    pair, params = _MEASURES[kind.tag][1], kind.params
+    if kind.tag == "aldg":
+        rule = _resolve_rule(params.get("rule"), n)
+        if rule.kind in _SHUFFLE_KINDS:
+            return lambda index, x, y: pair(x, y, replace(rule, seed=child_seed(seed, index)))
+        params = {"rule": rule}
+    return lambda index, x, y: pair(x, y, **params)
+
+
+def _prepared_row(prepare, row: np.ndarray):
+    """A row's prepared state, its preparation's DepgapError, or None when
+    PairedSample's checks fail on it (too few or non-finite values)."""
+    if row.size < 2 or not np.isfinite(row).all():
+        return None
+    try:
+        return prepare(row)
+    except DepgapError as exc:
+        return exc
 
 
 @dataclass
@@ -444,10 +409,14 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
     against itself otherwise. Pair failures become NaN entries plus a
     diagnostics record instead of aborting the whole matrix. Stochastic
     measures receive per-task seeds derived from (seed, task index), so the
-    result does not depend on the thread count. For the local-density
-    family (aldg, avgcsn, mean-t) each row's standard deviation, bandwidth
-    and window margin are prepared once, so a pair only counts its joint
-    windows and applies its threshold rule.
+    result does not depend on the thread count.
+
+    Each row is prepared once (the measure's `prepare` step), so a pair only
+    runs the measure's `pair` step: for the local-density family it counts
+    the joint windows and applies the threshold rule. Errors come in the
+    order of measure(kind, PairedSample(data[i], data[j])): PairedSample's
+    checks, then the preparation's (the bandwidths), the x row's first,
+    then the pair's own.
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
@@ -457,16 +426,21 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
     p = data.shape[0]
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     self_is_one = kind.tag in ("pearson", "spearman", "kendall", "dcor")
-
-    if kind.tag in _PREPARED_PAIRS:
-        value_of = _prepared_pair_values(kind, data, seed, threads)
-    else:
-        def value_of(index, i, j):
-            return measure(kind, PairedSample(data[i], data[j]))
+    prepare = _MEASURES[kind.tag][0]
+    rows = ordered_map(lambda row: _prepared_row(prepare, row), data, threads)
+    # Below 2 values every task fails PairedSample's checks before its pair,
+    # and at 0 values the aLDG rule has no default shuffle count.
+    if data.shape[1] >= 2:
+        pair = _seeded_pair(kind, data.shape[1], seed)
 
     def one(task):
+        index, i, j = task
+        x, y = rows[i], rows[j]
         try:
-            return value_of(*task)
+            if x is None or y is None:
+                PairedSample(data[i], data[j])  # raises the checks' own error
+            failed = [row for row in (x, y) if isinstance(row, DepgapError)]
+            return failed[0] if failed else pair(index, x, y)
         except DepgapError as exc:
             return exc
 

@@ -369,6 +369,32 @@ class TestMeasureCommand:
         assert code == 2
         assert "requires --t" in err
 
+    @pytest.mark.parametrize("command", ["measure", "matrix", "test"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold-rule", "fixed", "--t", "-0.1"], "--t must be a threshold >= 0"),
+        (["--threshold-rule", "fixed", "--t", "nan"], "--t must be a threshold >= 0"),
+        (["--threshold-rule", "auto", "--t", "0.3"], "--t applies only to --threshold-rule fixed"),
+        (["--t", "0.3"], "--t applies only to --threshold-rule fixed"),
+        (["--measure", "pearson", "--threshold-rule", "auto"], "apply only to --measure aldg"),
+        (["--measure", "mr", "--threshold-rule", "fixed", "--t", "0.1"],
+         "apply only to --measure aldg"),
+        (["--measure", "avgcsn", "--t", "0.3"], "apply only to --measure aldg"),
+    ])
+    def test_threshold_flag_misuse_is_usage_error(self, tmp_path, capsys, command, flags, message):
+        if command == "test":
+            path = tmp_path / "pairs.csv"
+            write_pairs(PairedSample([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0]), path)
+            argv = ["test", str(path)]
+        else:
+            path = make_expression_file(tmp_path / "expr.csv")
+            argv = [command, str(path)]
+            argv += (["--x-row", "g1", "--y-row", "g2"] if command == "measure"
+                     else ["--out", str(tmp_path / "m.csv")])
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == "" and message in err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_unknown_gene_is_runtime_error(self, tmp_path, capsys):
         path = make_expression_file(tmp_path / "expr.csv")
         code, _, err = run_cli(

@@ -1,9 +1,13 @@
 """Permutation testing and power estimation."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from depgap import (
+    MEASURE_TAGS,
+    SIGNED_TAGS,
     MeasureKind,
     PairedSample,
     SynthSpec,
@@ -13,6 +17,9 @@ from depgap import (
     permutation_test,
     power_estimate,
 )
+from depgap import inference
+from depgap._util import child_rng, child_seed, ordered_map
+from depgap.measures import kind_with_seed
 
 
 def linear_sample(n, slope=1.0, seed=0):
@@ -69,6 +76,65 @@ class TestPermutationTest:
         kind = MeasureKind("aldg", {"rule": ThresholdRule.fixed(0.05)})
         result = permutation_test(kind, s, n_perms=40, seed=13)
         assert result.p_value <= 0.1
+
+    # Every tag, and aLDG under each rule; n = 150 and 230 take the auto
+    # rule's uniform-error and asymptotic-norm branches.
+    KINDS = {
+        **{tag: MeasureKind(tag) for tag in MEASURE_TAGS},
+        **{f"aldg-{rule.kind}": MeasureKind("aldg", {"rule": rule}) for rule in (
+            ThresholdRule.fixed(0.05),
+            ThresholdRule.uniform_error(n_shuffles=3),
+            ThresholdRule.asymptotic_norm(),
+            ThresholdRule.inflection_point(n_shuffles=3),
+            ThresholdRule.auto(seed=4),
+        )},
+        "avgcsn-0.2": MeasureKind("avgcsn", {"alpha": 0.2}),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [150, 230])
+    @pytest.mark.parametrize("name", KINDS)
+    def test_equals_a_loop_of_measure(self, name, n, threads, monkeypatch):
+        kind, seed, n_perms = self.KINDS[name], 17, 6
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=n)
+        s = PairedSample(xs, np.round(0.3 * xs + rng.normal(size=n), 1))
+        stats = [
+            measure(kind_with_seed(kind, child_seed(seed, b)),
+                    PairedSample(s.xs, child_rng(seed, b).permutation(s.ys) if b else s.ys))
+            for b in range(n_perms + 1)
+        ]
+        if kind.tag in SIGNED_TAGS:
+            stats = [abs(value) for value in stats]
+        null = []
+
+        def recording_map(fn, items, threads):
+            null.extend(ordered_map(fn, items, threads))
+            return null
+
+        # The null statistics themselves, to the bit: a p-value alone would
+        # miss a last-bit change.
+        monkeypatch.setattr(inference, "ordered_map", recording_map)
+        result = permutation_test(kind, s, n_perms=n_perms, seed=seed, threads=threads)
+        assert np.array(null).tobytes() == np.array(stats[1:]).tobytes()
+        assert result.observed == stats[0]
+        assert result.p_value == (1 + sum(value >= stats[0] for value in stats[1:])) / (n_perms + 1)
+
+    def test_prepared_x_shared_by_more_threads_than_cores(self):
+        # Every permutation reads the one prepared x; a short switch interval
+        # interleaves the threads often.
+        rng = np.random.default_rng(19)
+        xs = rng.normal(size=80)
+        s = PairedSample(xs, np.round(xs + rng.normal(size=80), 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for tag in ("spearman", "hoeffd", "mr", "aldg", "avgcsn"):
+                one = permutation_test(tag, s, n_perms=40, seed=3)
+                many = permutation_test(tag, s, n_perms=40, seed=3, threads=8)
+                assert (many.observed, many.p_value) == (one.observed, one.p_value)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_n_perms_validation(self):
         s = linear_sample(20, seed=14)

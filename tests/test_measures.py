@@ -111,6 +111,11 @@ class TestRegistry:
             with pytest.raises(UnknownMeasure):
                 MeasureKind(tag, params)
 
+    @pytest.mark.parametrize("alpha", [0, 1.0, -0.5, math.nan])
+    def test_bad_alpha_rejected_when_the_kind_is_built(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MeasureKind("avgcsn", {"alpha": alpha})
+
     def test_string_and_kind_agree(self):
         assert measure("pearson", LINE) == measure(MeasureKind("pearson"), LINE)
 
@@ -130,6 +135,14 @@ class TestPearson:
     def test_constant_input(self):
         with pytest.raises(ZeroVariance):
             measure("pearson", PairedSample([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+
+    def test_constant_input_whose_mean_misses_it(self):
+        # Nine copies of -1.7976931348623157e308 have a computed mean an ulp
+        # off, so their centred sum of squares is not 0.
+        constant, ramp = [-1.7976931348623157e308] * 9, np.arange(9.0)
+        for xs, ys in ((constant, ramp), (ramp, constant)):
+            with pytest.raises(ZeroVariance):
+                measure("pearson", PairedSample(xs, ys))
 
 
 class TestSpearman:
@@ -166,8 +179,20 @@ class TestKendall:
             measure("kendall", PairedSample([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
 
 
+def power_of_two_scaled(values):
+    """values times the power of two that puts their largest magnitude in [0.5, 1)."""
+    e = math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, -e) for v in values]
+
+
 @NO_RUNTIME_WARNINGS
-@pytest.mark.parametrize("tag, oracle", [("spearman", spearman_brute), ("kendall", kendall_taub_brute)])
+@pytest.mark.parametrize("tag, oracle", [
+    ("spearman", spearman_brute),
+    ("kendall", kendall_taub_brute),
+    ("pearson", pearson_brute),
+    ("dcor", dcor_brute),
+    ("hsic", hsic_brute),
+])
 @settings(derandomize=True, database=None, deadline=None)
 @given(inputs=tied_inputs(3))
 def test_rank_correlations_on_ties_and_extremes(tag, oracle, inputs):
@@ -175,8 +200,17 @@ def test_rank_correlations_on_ties_and_extremes(tag, oracle, inputs):
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         with pytest.raises(ZeroVariance):
             measure(tag, PairedSample(xs, ys))
+        return
+    got = measure(tag, PairedSample(xs, ys))
+    if tag in ("pearson", "dcor", "hsic"):
+        # The oracles overflow on values near 1e300. These measures are
+        # scale-free, so the oracle sees each axis scaled by a power of two.
+        xs, ys = power_of_two_scaled(xs), power_of_two_scaled(ys)
+    if tag == "dcor":
+        # The square root magnifies the V-statistic's rounding near 0.
+        assert got**2 == pytest.approx(oracle(xs, ys) ** 2, abs=1e-12)
     else:
-        assert measure(tag, PairedSample(xs, ys)) == pytest.approx(oracle(xs, ys), rel=1e-12)
+        assert got == pytest.approx(oracle(xs, ys), rel=1e-12)
 
 
 # Measures whose value does not change when an axis is scaled by a
@@ -503,15 +537,16 @@ class TestPairwiseMatrix:
         four = pairwise_matrix(data, "aldg", threads=4, seed=3)
         assert np.array_equal(one.matrix, four.matrix)
 
-    # The local-density family runs on rows prepared once; n = 60 and 260
-    # take the auto rule's uniform-error and asymptotic-norm branches.
+    # Every measure runs on rows prepared once; n = 60 and 260 take the
+    # auto rule's uniform-error and asymptotic-norm branches.
     PREPARED_KINDS = {
+        **{tag: MeasureKind(tag) for tag in MEASURE_TAGS if tag not in ("aldg", "avgcsn")},
+        "hsic-width": MeasureKind("hsic", {"width": 0.5}),
         "aldg-auto": MeasureKind("aldg"),
         "aldg-uniform-error": MeasureKind("aldg", {"rule": ThresholdRule.uniform_error(n_shuffles=4)}),
         "aldg-inflection-point": MeasureKind(
             "aldg", {"rule": ThresholdRule.inflection_point(n_shuffles=4)}),
         "aldg-fixed": MeasureKind("aldg", {"rule": ThresholdRule.fixed(0.05)}),
-        "mean-t": MeasureKind("mean-t"),
         "avgcsn": MeasureKind("avgcsn", {"alpha": 0.1}),
     }
 
@@ -527,8 +562,10 @@ class TestPairwiseMatrix:
         data[3] = np.tile([-1.7976931348623157e308, 1.7976931348623157e308], n // 2)  # sd overflows
         data[5] = -2.0  # constant
         data[6, 3] = np.nan  # fails PairedSample's checks
-        tasks = [(i, j) for i in range(7) for j in range(i + 1, 7)] + [(i, i) for i in range(7)]
-        want = np.empty((7, 7))
+        self_is_one = kind.tag in ("pearson", "spearman", "kendall", "dcor")
+        tasks = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        tasks += [] if self_is_one else [(i, i) for i in range(7)]
+        want = np.ones((7, 7))
         diagnostics = []
         for index, (i, j) in enumerate(tasks):
             try:
@@ -544,9 +581,11 @@ class TestPairwiseMatrix:
         assert got.diagnostics == diagnostics
         errors = {(d["i"], d["j"]): d["error"] for d in got.diagnostics}
         # PairedSample's checks come first; of two failing rows, x's error.
-        assert all(errors[(i, 6)] == "DimensionMismatch" for i in range(7))
-        assert errors[(1, 3)] == "ZeroVariance" and errors[(3, 5)] == "DepgapError"
-        assert errors[(1, 2)] == "ZeroVariance" and errors[(2, 5)] == "ZeroVariance"
+        rows = range(6 if self_is_one else 7)
+        assert all(errors[(i, 6)] == "DimensionMismatch" for i in rows)
+        if kind.tag in ("aldg", "avgcsn", "mean-t"):
+            assert errors[(1, 3)] == "ZeroVariance" and errors[(3, 5)] == "DepgapError"
+            assert errors[(1, 2)] == "ZeroVariance" and errors[(2, 5)] == "ZeroVariance"
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
