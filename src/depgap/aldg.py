@@ -129,24 +129,31 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
 
 
 def _t_of_margins(mx: Margin, my: Margin, cfg: KdeConfig) -> np.ndarray:
-    """Gap statistic T at every sample point from the two margins at cfg."""
+    """Gap statistic T at every sample point from the two margins at cfg.
+
+    my may be a batch of y margins (see `joint_counts`); T then has its shape.
+    """
     return t_from_counts(mx.counts, my.counts, joint_counts(mx, my), cfg)
 
 
-def _shuffled_t_values(mx: Margin, my: Margin, cfg: KdeConfig, seed: int, index: int):
-    # T on (xs, ys[perm]): the shuffled y margin is my permuted, so only the
-    # joint count is new.
-    shuffled = my.permuted(child_rng(seed, index).permutation(my.rank.size))
-    return _t_of_margins(mx, shuffled, cfg)
-
-
-def _shuffled_t_arrays(mx: Margin, my: Margin, cfg, n_shuffles, seed, threads) -> list:
+def _shuffles(n: int, n_shuffles: int | None, seed: int) -> list:
+    """The seeded y-shuffles of the threshold rules, max(1000 // n, 5) by default."""
     if n_shuffles is None:
-        n_shuffles = default_n_shuffles(mx.rank.size)
-    return ordered_map(
-        lambda index: _shuffled_t_values(mx, my, cfg, seed, index),
-        range(n_shuffles),
-        threads,
+        n_shuffles = default_n_shuffles(n)
+    return [child_rng(seed, index).permutation(n) for index in range(n_shuffles)]
+
+
+def _shuffled_t_arrays(mx: Margin, my: Margin, cfg, perms, threads) -> np.ndarray:
+    """T on (xs, ys[perm]) for each perm in perms, one row each.
+
+    A shuffled y margin is my permuted, so all of them come from one fancy
+    index of each of my's arrays and one batched joint count. threads split
+    the rows into that many batches; each row is the same for every split.
+    """
+    perms = np.asarray(perms)
+    parts = np.array_split(perms, min(threads, len(perms))) if threads > 1 else [perms]
+    return np.concatenate(
+        ordered_map(lambda part: _t_of_margins(mx, my.permuted(part), cfg), parts, threads)
     )
 
 
@@ -156,7 +163,7 @@ def _share_at_least(tvals, grid) -> np.ndarray:
 
 
 def _median_of_maxima(t_arrays) -> float:
-    return float(np.median([float(np.max(tvals)) for tvals in t_arrays]))
+    return float(np.median(np.max(t_arrays, axis=1)))
 
 
 def threshold_uniform_error(
@@ -174,7 +181,8 @@ def threshold_uniform_error(
     independence. Defaults to max(1000 // n, 5) shuffles.
     """
     mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
-    return _median_of_maxima(_shuffled_t_arrays(mx, my, cfg, n_shuffles, seed, threads))
+    perms = _shuffles(sample.n, n_shuffles, seed)
+    return _median_of_maxima(_shuffled_t_arrays(mx, my, cfg, perms, threads))
 
 
 def threshold_inflection_point(
@@ -197,7 +205,8 @@ def threshold_inflection_point(
     if grid is not None:
         grid = _checked_grid(grid)
     mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
-    return _inflection_point(_shuffled_t_arrays(mx, my, cfg, n_shuffles, seed, threads), grid)
+    perms = _shuffles(sample.n, n_shuffles, seed)
+    return _inflection_point(_shuffled_t_arrays(mx, my, cfg, perms, threads), grid)
 
 
 def _inflection_point(t_arrays, grid) -> float:
@@ -255,22 +264,24 @@ def aldg(
 def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
     """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
 
-    Both margins are built once and serve the shuffles and the final count.
+    Both margins are built once. The unshuffled y margin and the rule's
+    shuffles, if it draws any, are counted as one batch.
     """
     cfg = KdeConfig(x.h, y.h)
     mx, my = x.margin(), y.margin()
+    n = x.values.size
+    shuffles = _shuffles(n, rule.n_shuffles, rule.seed) if rule.kind in _SHUFFLE_KINDS else []
+    t_all = _shuffled_t_arrays(mx, my, cfg, [np.arange(n), *shuffles], threads)
+    tvals, t_arrays = t_all[0], t_all[1:]
     if rule.kind == "fixed":
         t = float(rule.t)
     elif rule.kind == "asymptotic-norm":
-        t = threshold_asymptotic_norm(x.values.size, x.sd, y.sd)
+        t = threshold_asymptotic_norm(n, x.sd, y.sd)
+    elif rule.kind == "uniform-error":
+        t = _median_of_maxima(t_arrays)
     else:
-        t_arrays = _shuffled_t_arrays(mx, my, cfg, rule.n_shuffles, rule.seed, threads)
-        if rule.kind == "uniform-error":
-            t = _median_of_maxima(t_arrays)
-        else:
-            t = _inflection_point(t_arrays, rule.grid)
+        t = _inflection_point(t_arrays, rule.grid)
     t = max(t, 0.0)
-    tvals = _t_of_margins(mx, my, cfg)
     return AldgResult(int(np.count_nonzero(tvals >= t)) / tvals.size, t, rule)
 
 

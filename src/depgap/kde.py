@@ -21,12 +21,17 @@ point, (cx, cy, cxy), which `window_counts` finds without an n x n pass:
   to the values that rounding decides, and each edge is then stepped, a run
   of ties at a time, until it agrees with |q - x| <= h itself (`Margin`).
 - cxy counts the points whose x rank and y rank fall in both runs, a
-  rectangle in rank space: a prefix table over blocks of about sqrt(n) x
-  ranks plus a scan of at most one block per edge (`joint_counts`). The
-  table grows its blocks to stay within about _WORKSPACE elements and the
-  scans run in chunks, so memory stays bounded for every n.
+  rectangle in rank space, so four corners of F(a, b), the number of
+  points with x rank below a and y rank below b (`corner_counts`). F is
+  read from a table of the x ranks packed 64 to a 64-bit word: for every
+  y-rank bound b, the mask of the x ranks whose y rank is below b, word by
+  word, and the running bit count over the words. Building it costs
+  n^2 / 64 word operations and each corner one lookup. The bounds are
+  swept in blocks of about _WORKSPACE table elements, so memory stays
+  bounded for every n.
 - Shuffling y permutes its margin and keeps every window, so a y-shuffle
-  costs one joint count.
+  costs one joint count, and a batch of shuffled y margins (arrays of
+  shape (S, n)) is counted against one x margin in one call.
 """
 
 import math
@@ -140,7 +145,8 @@ def default_bandwidth(values) -> float:
     TooFewSamples
         If fewer than 2 values are given.
     ZeroVariance
-        If all values are equal.
+        If all values are equal, or their spread is so small that the
+        bandwidth rounds to 0.
     DepgapError
         If the standard deviation exceeds the float range.
     """
@@ -154,7 +160,10 @@ def default_bandwidth(values) -> float:
 def _bandwidth_of_sd(sd: float, n: int) -> float:
     if sd == 0.0:
         raise ZeroVariance("bandwidth selection met a constant sequence")
-    return sd * n ** (-1.0 / 6.0)
+    h = sd * n ** (-1.0 / 6.0)
+    if h == 0.0:
+        raise ZeroVariance(f"the bandwidth of standard deviation {sd!r} rounds to 0")
+    return h
 
 
 def default_config(sample: PairedSample) -> KdeConfig:
@@ -198,10 +207,14 @@ def t_statistic_empirical(
     return _gap(fx, fy, joint_density(sample, cfg, qx, qy))
 
 
-# Elements allowed in the joint count's prefix table, which bounds memory,
-# and in one chunk of its block scans, sized to stay in cache.
-_WORKSPACE = 4_000_000
-_SCAN_CHUNK = 1 << 15
+# Elements allowed in one block of the joint count's mask table, which
+# bounds its memory for every n and every batch of y margins: 13 bytes
+# each with the bit counts. Blocks four times larger were a third slower
+# at n = 20000.
+_WORKSPACE = 1_000_000
+# _BIT[i] has bit i set, and _LOW[i] the i bits below it.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_LOW = _BIT - np.uint64(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +226,11 @@ class Margin:
     Windows hold whole runs of tied values, so any ranking that sorts the
     values serves; `permuted` relies on that.
 
-    `joint_counts` reads [lo, hi) as any run of sorted positions, not only a
-    window: `measures._hoeffd` and `measures._mr` pass the runs [0, lo) and
-    [0, hi) of width-0 margins, and `_mr` also [lo, rank).
+    The arrays may also hold a batch of margins of one axis, shape (S, n),
+    such as the y-shuffles of `permuted` with a batch of permutations;
+    `joint_counts` counts them all against one x margin. `measures._hoeffd`
+    and `measures._mr` read the edges of width-0 margins as corners of
+    `corner_counts` instead.
     """
 
     rank: np.ndarray
@@ -246,21 +261,12 @@ class Margin:
         return self.hi - self.lo
 
     def permuted(self, perm) -> "Margin":
-        """The margin of values[perm]; every point keeps its own window."""
-        return Margin(self.rank[perm], self.lo[perm], self.hi[perm])
+        """The margin of values[perm]; every point keeps its own window.
 
-    @cached_property
-    def blocks(self):
-        """The x side of `joint_counts`, kept across y-shuffles.
-
-        The block size, each point's cell in the prefix table (its y rank
-        still to add), and the block and offset of each window edge.
+        perm may be a batch of permutations, shape (S, n), which gives a
+        batch of margins.
         """
-        n = self.rank.size
-        # sqrt(n) balances the table (n^2 / block) against the scans (n * block).
-        block = max(math.isqrt(n), -(-n * (n + 1) // _WORKSPACE))
-        cells = self.rank // block * (n + 1) + (n + 2)
-        return block, cells, *np.divmod(np.concatenate((self.hi, self.lo)).reshape(2, n), block)
+        return Margin(self.rank[perm], self.lo[perm], self.hi[perm])
 
 
 def _prefix_length(ordered, q, edge, holds):
@@ -283,39 +289,81 @@ def _prefix_length(ordered, q, edge, holds):
         edge[todo] = e[moved]
 
 
+def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
+    """F(a, b) = #{points with x rank < a and y rank < b} at many corners.
+
+    x_rank is a permutation of range(n), and y_rank one too or a batch of
+    them with shape (S, n). a has shape (I, n) and b (J, n) or (J, S, n);
+    result[j, i, ..., k] is F(a[i, k], b[j, ..., k]), counted with the y
+    ranks of the same batch row.
+
+    x ranks are packed 64 to a word, behind a zero word. For each y margin
+    and y-rank bound b, masks[c, b] is word c of the set of x ranks whose
+    y rank is below b, and below[c, b] counts the bits of words 0..c. So
+    F(a, b) = below[a >> 6, b] + popcount(masks[(a >> 6) + 1, b] & low
+    bits of a), one lookup per corner. Along b, masks[c] is the OR-prefix
+    of its word's points in y-rank order, so it is built by repeating each
+    prefix over the bounds it holds for. The bounds are swept in blocks,
+    and the margins taken in groups, of about _WORKSPACE table elements.
+    """
+    n, shape = x_rank.size, b.shape[1:]
+    y_rank = y_rank.reshape(-1, n)
+    b = b.reshape(b.shape[0], -1, n)
+    out = np.empty((b.shape[0], a.shape[0], *y_rank.shape), dtype=np.intp)
+    cols = (n >> 6) + 2
+    rows = min(n + 1, max(1, _WORKSPACE // cols))
+    # A margin's table block has rows * cols elements, its sort keys 64 * cols.
+    group = max(1, _WORKSPACE // (max(rows, 64) * cols))
+    slot = (x_rank & 63) + 64
+    x_word, x_low = a >> 6, _LOW[a & 63]
+    for s0 in range(0, y_rank.shape[0], group):
+        ranks, bound = y_rank[s0:s0 + group], b[:, s0:s0 + group]
+        size = ranks.shape[0]
+        # 64 (y + 1) + i for the point at x rank 64 (c - 1) + i, sorted
+        # within each word c; 64 (n + 1) where a word has no point.
+        key = np.full((size, cols * 64), 64 * (n + 1))
+        key[:, x_rank + 64] = ranks * 64 + slot
+        key = np.sort(key.reshape(size, cols, 64), axis=2)
+        steps = key >> 6
+        prefix = np.zeros((size, cols, 65), dtype=np.uint64)
+        np.bitwise_or.accumulate(_BIT[key & 63], axis=2, out=prefix[:, :, 1:])
+        for b0 in range(0, n + 1, rows):
+            b1 = min(b0 + rows, n + 1)
+            height = b1 - b0
+            # prefix[..., m], the OR of a word's first m points, holds from
+            # the m-th point's step to the next one's.
+            lengths = np.empty((size, cols, 65), dtype=np.intp)
+            lengths[:, :, :64] = steps if height > n else steps.clip(b0, b1) - b0
+            lengths[:, :, 64] = height
+            lengths[:, :, 1:] -= lengths[:, :, :64]
+            masks = np.repeat(prefix.reshape(-1), lengths.reshape(-1))
+            masks = masks.reshape(size, cols, height)
+            below = np.bitwise_count(masks).astype(np.int32)
+            for c in range(1, cols):
+                np.add(below[:, c - 1], below[:, c], out=below[:, c])
+            row = bound if height > n else bound.clip(b0, b1 - 1) - b0
+            at = (np.arange(size)[:, None] * cols + x_word[:, None]) * height + row[:, None]
+            words = masks.reshape(-1)[at + height] & x_low[:, None]
+            f = below.reshape(-1)[at] + np.bitwise_count(words)
+            if height > n:
+                out[:, :, s0:s0 + size] = f
+            else:
+                inside = (bound >= b0) & (bound < b1)
+                np.copyto(out[:, :, s0:s0 + size], f, where=inside[:, None])
+    return out.reshape(b.shape[0], a.shape[0], *shape)
+
+
 def joint_counts(mx: Margin, my: Margin) -> np.ndarray:
     """Points inside both windows of every point, from two margins.
 
     With y_at[p] the y rank of the point at x rank p, the count for point k
     is #{p in [mx.lo[k], mx.hi[k]) : my.lo[k] <= y_at[p] < my.hi[k]}, a
-    rank rectangle. F(a, b) = #{p < a : y_at[p] < b} splits into a prefix
-    table over whole blocks of x ranks and a scan of at most one block.
+    rank rectangle: four corners of `corner_counts`. my's arrays may hold a
+    batch of y margins with shape (S, n), such as y-shuffles of one margin,
+    all counted against mx in one call; the result then has that shape.
     """
-    n = mx.rank.size
-    block, cells, corner_block, corner_rest = mx.blocks
-    rows = n // block + 1
-    y_at = np.full(rows * block, -1, dtype=np.intp)
-    y_at[mx.rank] = my.rank
-    # table[m, b] = #{p < m * block : y_at[p] < b}
-    table = np.zeros((rows + 1, n + 1), dtype=np.intp)
-    table.reshape(-1)[cells + my.rank] = 1
-    table.cumsum(axis=0, out=table)
-    table.cumsum(axis=1, out=table)
-    # y_cols[t, m] = y_at[m * block + t]
-    y_cols = y_at.reshape(rows, block).T
-    offsets = np.arange(block)[:, None, None]
-    cxy = np.empty(n, dtype=np.int64)
-    chunk = max(1, _SCAN_CHUNK // (2 * block))
-    for start in range(0, n, chunk):
-        part = slice(start, start + chunk)
-        m, rest = corner_block[:, part], corner_rest[:, part]
-        b_lo, b_hi = my.lo[part], my.hi[part]
-        # lo <= y < hi as one unsigned comparison; the -1 padding wraps high.
-        scan = (y_cols[:, m] - b_lo).view(np.uintp)
-        hits = (scan < (b_hi - b_lo).view(np.uintp)) & (offsets < rest)
-        f = table[m, b_hi] - table[m, b_lo] + hits.sum(axis=0)
-        cxy[part] = f[0] - f[1]
-    return cxy
+    f = corner_counts(mx.rank, my.rank, np.array((mx.lo, mx.hi)), np.array((my.lo, my.hi)))
+    return f[1, 1] - f[1, 0] - f[0, 1] + f[0, 0]
 
 
 class _Axis:
@@ -326,10 +374,9 @@ class _Axis:
     deviation, the boxcar bandwidth h and the margin at h. h defaults to
     sd * n**(-1/6), which computes sd at once; with a given h, sd is only
     computed when first read. Per input value that is the margin's three
-    index arrays, 24 bytes on a 64-bit platform. `margin()` hands out a new
-    `Margin` on those arrays, so the joint-count blocks cached on it
-    (`Margin.blocks`, another 40 bytes per value) live only as long as the
-    caller's computation, not on axes that threads share.
+    index arrays, 24 bytes on a 64-bit platform. `margin()` hands out a
+    `Margin` on those arrays; the joint count builds its mask table per
+    call, so nothing is cached on axes that threads share.
     """
 
     def __init__(self, values: np.ndarray, h: float | None = None):
@@ -366,7 +413,7 @@ def window_counts(sample: PairedSample, cfg: KdeConfig):
     x_j - x_k rounds monotonically in x_k, and its searchsorted edges are
     repaired against |x_j - x_k| <= h_x where rounding decides (`Margin`).
     cxy is a rectangle count in rank space (`joint_counts`) whose
-    temporaries stay within a fixed number of elements for every n.
+    temporaries stay within a fixed multiple of _WORKSPACE for every n.
     """
     mx = Margin.of(sample.xs, cfg.h_x)
     my = Margin.of(sample.ys, cfg.h_y)
@@ -380,9 +427,10 @@ def t_from_counts(cx, cy, cxy, cfg: KdeConfig) -> np.ndarray:
     into [0.5, 2), and T is scaled back by the root of that factor
     (`_scaled_pair`). Both steps are exact, so T keeps its bits where the
     plain densities are normal floats, while at extreme bandwidths the
-    densities can no longer overflow or underflow.
+    densities can no longer overflow or underflow. The counts may carry a
+    batch axis in front, as for a batch of y margins; n is the last axis.
     """
-    n = cx.size
+    n = cx.shape[-1]
     h_x, h_y, k = _scaled_pair(cfg.h_x, cfg.h_y)
     fx = cx / (2.0 * h_x) / n
     fy = cy / (2.0 * h_y) / n

@@ -34,7 +34,7 @@ from .aldg import (
     _resolve_rule,
 )
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
-from .kde import Margin, PairedSample, _Axis, joint_counts
+from .kde import Margin, PairedSample, _Axis, corner_counts
 
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
@@ -107,7 +107,7 @@ def _hoeffd(mx: Margin, my: Margin) -> float:
         raise TooFewSamples("Hoeffding's D needs at least 5 observations")
     r = mx.hi.astype(float)
     s = my.hi.astype(float)
-    c = (joint_counts(_below(mx.rank, mx.hi), _below(my.rank, my.hi)) - 1).astype(float)
+    c = (corner_counts(mx.rank, my.rank, mx.hi[None], my.hi[None])[0, 0] - 1).astype(float)
     # The blocks exist only to fix the rounding order of the float sums,
     # which the statistic's last bits depend on.
     block = max(1, int(4_000_000 // n))
@@ -119,15 +119,6 @@ def _hoeffd(mx: Margin, my: Margin) -> float:
     numerator = (n - 2) * (n - 3) * d1 + d2 - 2.0 * (n - 2) * d3
     denominator = float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
     return 30.0 * numerator / denominator
-
-
-def _below(rank: np.ndarray, edge: np.ndarray) -> Margin:
-    """The run [0, edge[k]) of sorted positions for every point k.
-
-    With these runs on both axes `joint_counts` gives F(a, b) = #{x rank < a,
-    y rank < b} at each point's corner (a, b).
-    """
-    return Margin(rank, np.zeros_like(edge), edge)
 
 
 _dcor_work = threading.local()
@@ -221,8 +212,11 @@ def _hsic(xs: np.ndarray, ys: np.ndarray, width: float | None = None) -> float:
         wx = wy = float(width)
     if not (wx > 0 and wy > 0):
         raise ValueError("kernel width must be positive")
-    k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / _two_squared(wx))
-    l = np.exp(-((ys[:, None] - ys[None, :]) ** 2) / _two_squared(wy))
+    # With a given width the values are not scaled: differences near
+    # +-1.8e308 overflow to infinities, whose kernel value 0 is exact.
+    with np.errstate(over="ignore"):
+        k = np.exp(-((xs[:, None] - xs[None, :]) ** 2) / _two_squared(wx))
+        l = np.exp(-((ys[:, None] - ys[None, :]) ** 2) / _two_squared(wy))
 
     def center(m):
         row = m.mean(axis=1, keepdims=True)
@@ -289,21 +283,21 @@ def _mr(mx: Margin, my: Margin) -> float:
     monotone data, which matches every subsequence in exactly one
     direction, scores exactly 1/2, the maximum.
 
-    The counts are corners of F(a, b) on width-0 margins (`_below`). Their
-    stable ranks keep tied values in index order, so the identical points
-    before a point are those at x ranks [lo, rank) that tie with it on y.
+    The counts are corners of F(a, b) on width-0 margins (`corner_counts`).
+    Their stable ranks keep tied values in index order, so the identical
+    points before a point are those at x ranks [lo, rank) that tie with it
+    on y.
     """
     n = mx.rank.size
     if n < 3:
         raise TooFewSamples(f"matching ranks needs at least 3 observations, got {n}")
-    x_lo, x_hi = _below(mx.rank, mx.lo), _below(mx.rank, mx.hi)
-    y_lo, y_hi = _below(my.rank, my.lo), _below(my.rank, my.hi)
     # ll counts the points below a point on both axes, hh those at or below
-    # it on both; lh and hl mix the two.
-    ll, lh = joint_counts(x_lo, y_lo), joint_counts(x_lo, y_hi)
-    hl, hh = joint_counts(x_hi, y_lo), joint_counts(x_hi, y_hi)
+    # it on both; lh and hl mix the two. rl and rh stop at the point's own
+    # x rank.
+    x_edges, y_edges = np.array((mx.lo, mx.hi, mx.rank)), np.array((my.lo, my.hi))
+    (ll, hl, rl), (lh, hh, rh) = corner_counts(mx.rank, my.rank, x_edges, y_edges)
     same = hh - hl - lh + ll
-    before = joint_counts(Margin(mx.rank, mx.lo, mx.rank), my)
+    before = rh - lh - rl + ll
     after = same - 1 - before
     forward = int((ll + before) @ (n - mx.hi - my.hi + hh + after))
     backward = int((mx.lo - lh + before) @ (my.lo - hl + after))

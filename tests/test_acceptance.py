@@ -258,9 +258,10 @@ def test_criterion_09_threshold_merit():
 
 def test_criterion_10_complexity_slopes():
     # aLDG counts windows from sorted margins: O(n log n) per axis and about
-    # n^1.5 for the joint count, so its slope must stay below the dense
-    # n x n pass (~2 on these sizes) and above a timed no-op. Below n = 200
-    # fixed per-call costs flatten the curve, so it is timed from there.
+    # n^2 / 64 word operations for the joint count, so its slope must stay
+    # below the dense n x n pass (~2 on these sizes) and above a timed no-op.
+    # Below n = 200 fixed per-call costs flatten the curve, so it is timed
+    # from there.
     aldg_slope = run_timing(n_grid=(200, 400, 800, 1600), kinds=("aldg",),
                             repeats=3, seed=1010).meta["timing"]["slopes"]["aldg"]
     hhg_slope = run_timing(n_grid=(100, 200, 400, 800), kinds=("hhg",),

@@ -234,18 +234,18 @@ class TestInflectionPointThreshold:
         want = threshold_inflection_point(
             s, cfg, grid=np.linspace(0.0, upper, 51), n_shuffles=10, seed=4
         )
-        # A shuffle reuses both margins and costs one joint count.
+        # A shuffle reuses both margins and costs one row of a joint count.
         module = importlib.import_module("depgap.aldg")
         real = module.joint_counts
-        calls = []
+        rows = []
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(mx, my):
+            rows.append(my.rank.shape[0] if my.rank.ndim == 2 else 1)
+            return real(mx, my)
 
         monkeypatch.setattr(module, "joint_counts", counted)
         assert threshold_inflection_point(s, cfg, n_shuffles=10, seed=4) == want
-        assert len(calls) == 10
+        assert sum(rows) == 10
 
     def test_grid_above_all_t_values_degenerates(self):
         rng = np.random.default_rng(55)

@@ -288,28 +288,41 @@ class TestWindowCounts:
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(edge_inputs(max_n=400), st.sampled_from([200, 2_000, 20_000]))
     def test_small_workspace_spans_blocks_and_chunks(self, inputs, workspace):
-        # A small budget grows the block and splits the queries into chunks.
+        # A small budget sweeps the mask table's y-rank bounds in many blocks.
         xs, ys, hx, hy = inputs
         want = closed_counts(xs, ys, hx, hy)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kde, "_WORKSPACE", workspace)
-            mp.setattr(kde, "_SCAN_CHUNK", workspace)
             got = window_counts(PairedSample(xs, ys), KdeConfig(hx, hy))
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(edge_inputs(), st.integers(0, 2**32 - 1))
-    def test_permuting_y_permutes_its_margin(self, inputs, seed):
+    @given(edge_inputs(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 4]))
+    def test_permuting_y_permutes_its_margin(self, inputs, seed, batch):
+        # batch None permutes once; otherwise a batch of that many shuffled
+        # margins is counted in one call, optionally across several blocks.
         xs, ys, hx, hy = inputs
-        perm = np.random.default_rng(seed).permutation(xs.size)
+        rng = np.random.default_rng(seed)
         mx, my = Margin.of(xs, hx), Margin.of(ys, hy)
-        shuffled = my.permuted(perm)
-        assert np.array_equal(Margin.of(ys[perm], hy).counts, my.counts[perm])
-        assert np.array_equal(shuffled.counts, my.counts[perm])
-        assert np.array_equal(
-            joint_counts(mx, shuffled), closed_counts(xs, ys[perm], hx, hy)[2]
-        )
+        if batch is None:
+            perm = rng.permutation(xs.size)
+            shuffled = my.permuted(perm)
+            assert np.array_equal(Margin.of(ys[perm], hy).counts, my.counts[perm])
+            assert np.array_equal(shuffled.counts, my.counts[perm])
+            assert np.array_equal(
+                joint_counts(mx, shuffled), closed_counts(xs, ys[perm], hx, hy)[2]
+            )
+            return
+        perms = np.array([rng.permutation(xs.size) for _ in range(batch)])
+        for workspace in (kde._WORKSPACE, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kde, "_WORKSPACE", workspace)
+                got = joint_counts(mx, my.permuted(perms))
+            assert got.shape == perms.shape
+            for row, perm in zip(got, perms):
+                assert np.array_equal(row, joint_counts(mx, my.permuted(perm)))
+                assert np.array_equal(row, closed_counts(xs, ys[perm], hx, hy)[2])
 
     def test_extreme_magnitudes(self):
         rng = np.random.default_rng(37)

@@ -550,6 +550,7 @@ class TestPairwiseMatrix:
         "avgcsn": MeasureKind("avgcsn", {"alpha": 0.1}),
     }
 
+    @NO_RUNTIME_WARNINGS
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [60, 260])
     @pytest.mark.parametrize("name", PREPARED_KINDS)
@@ -586,6 +587,16 @@ class TestPairwiseMatrix:
         if kind.tag in ("aldg", "avgcsn", "mean-t"):
             assert errors[(1, 3)] == "ZeroVariance" and errors[(3, 5)] == "DepgapError"
             assert errors[(1, 2)] == "ZeroVariance" and errors[(2, 5)] == "ZeroVariance"
+
+    @pytest.mark.parametrize("tag", ["aldg", "mean-t", "avgcsn"])
+    def test_bandwidth_rounding_to_zero_is_a_diagnostic(self, tag):
+        # The second row's sd is 5e-324, and 5e-324 * 100**(-1/6) rounds to 0.
+        rng = np.random.default_rng(149)
+        data = np.vstack([rng.normal(size=100), np.tile([5e-324, -5e-324], 50)])
+        result = pairwise_matrix(data, tag)
+        errors = {(d["i"], d["j"]): d["error"] for d in result.diagnostics}
+        assert errors == {(0, 1): "ZeroVariance", (1, 1): "ZeroVariance"}
+        assert math.isnan(result.matrix[0, 1]) and not math.isnan(result.matrix[0, 0])
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
