@@ -11,21 +11,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._util import child_rng, ordered_map
+from ._util import child_rng
 from .errors import DegenerateCurve, TooFewSamples
 from .kde import (
     GaussianSpec,
     KdeConfig,
-    Margin,
     PairedSample,
     _axes,
     _gap,
     _gaussian_densities,
     _scaled_pair,
+    _t_values,
     joint_counts,
-    t_from_counts,
     t_statistic_at_sample_points,
     t_statistic_population,
 )
@@ -123,17 +121,11 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
         raise TooFewSamples("asymptotic-norm threshold needs n >= 2")
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("sigmas must be positive")
+    from scipy.special import ndtri  # imported here: slow, and most CLI runs never need it
+
     scaled_x, scaled_y, k = _scaled_pair(sigma_x, sigma_y)
     root = math.ldexp(math.sqrt(scaled_x * scaled_y), k)
     return float(ndtri(1.0 - 1.0 / n)) / (root * n ** (1.0 / 3.0))
-
-
-def _t_of_margins(mx: Margin, my: Margin, cfg: KdeConfig) -> np.ndarray:
-    """Gap statistic T at every sample point from the two margins at cfg.
-
-    my may be a batch of y margins (see `joint_counts`); T then has its shape.
-    """
-    return t_from_counts(mx.counts, my.counts, joint_counts(mx, my), cfg)
 
 
 def _shuffles(n: int, n_shuffles: int | None, seed: int) -> list:
@@ -141,20 +133,6 @@ def _shuffles(n: int, n_shuffles: int | None, seed: int) -> list:
     if n_shuffles is None:
         n_shuffles = default_n_shuffles(n)
     return [child_rng(seed, index).permutation(n) for index in range(n_shuffles)]
-
-
-def _shuffled_t_arrays(mx: Margin, my: Margin, cfg, perms, threads) -> np.ndarray:
-    """T on (xs, ys[perm]) for each perm in perms, one row each.
-
-    A shuffled y margin is my permuted, so all of them come from one fancy
-    index of each of my's arrays and one batched joint count. threads split
-    the rows into that many batches; each row is the same for every split.
-    """
-    perms = np.asarray(perms)
-    parts = np.array_split(perms, min(threads, len(perms))) if threads > 1 else [perms]
-    return np.concatenate(
-        ordered_map(lambda part: _t_of_margins(mx, my.permuted(part), cfg), parts, threads)
-    )
 
 
 def _share_at_least(tvals, grid) -> np.ndarray:
@@ -180,9 +158,8 @@ def threshold_uniform_error(
     those maxima estimates the uniform estimation error of T under
     independence. Defaults to max(1000 // n, 5) shuffles.
     """
-    mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
     perms = _shuffles(sample.n, n_shuffles, seed)
-    return _median_of_maxima(_shuffled_t_arrays(mx, my, cfg, perms, threads))
+    return _median_of_maxima(_t_values(*_axes(sample, cfg), perms, threads))
 
 
 def threshold_inflection_point(
@@ -204,9 +181,8 @@ def threshold_inflection_point(
     """
     if grid is not None:
         grid = _checked_grid(grid)
-    mx, my = Margin.of(sample.xs, cfg.h_x), Margin.of(sample.ys, cfg.h_y)
     perms = _shuffles(sample.n, n_shuffles, seed)
-    return _inflection_point(_shuffled_t_arrays(mx, my, cfg, perms, threads), grid)
+    return _inflection_point(_t_values(*_axes(sample, cfg), perms, threads), grid)
 
 
 def _inflection_point(t_arrays, grid) -> float:
@@ -264,14 +240,12 @@ def aldg(
 def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
     """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
 
-    Both margins are built once. The unshuffled y margin and the rule's
-    shuffles, if it draws any, are counted as one batch.
+    The unshuffled y margin and the rule's shuffles, if it draws any, are
+    counted as one batch.
     """
-    cfg = KdeConfig(x.h, y.h)
-    mx, my = x.margin(), y.margin()
     n = x.values.size
     shuffles = _shuffles(n, rule.n_shuffles, rule.seed) if rule.kind in _SHUFFLE_KINDS else []
-    t_all = _shuffled_t_arrays(mx, my, cfg, [np.arange(n), *shuffles], threads)
+    t_all = _t_values(x, y, [np.arange(n), *shuffles], threads)
     tvals, t_arrays = t_all[0], t_all[1:]
     if rule.kind == "fixed":
         t = float(rule.t)
@@ -291,8 +265,7 @@ def mean_t(sample: PairedSample, cfg: KdeConfig | None = None) -> float:
 
 
 def _mean_t_of_axes(x, y) -> float:
-    cfg = KdeConfig(x.h, y.h)
-    return float(np.mean(_t_of_margins(x.margin(), y.margin(), cfg)))
+    return float(np.mean(_t_values(x, y)))
 
 
 def avgcsn(
@@ -320,9 +293,9 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _avgcsn_of_axes(x, y, alpha: float = 0.01) -> float:
-    KdeConfig(x.h, y.h)  # the bandwidths' own check, as in aLDG and mean-T
-    mx, my = x.margin(), y.margin()
-    nx, ny, nxy = mx.counts, my.counts, joint_counts(mx, my)
+    from scipy.special import ndtri  # imported here: slow, and most CLI runs never need it
+
+    nx, ny, nxy = x.margin.counts, y.margin.counts, joint_counts(x.margin, y.margin)
     n = nx.size
     z = float(ndtri(1.0 - alpha))
     denom = nx * ny * (n - nx) * (n - ny)

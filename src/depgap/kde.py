@@ -13,7 +13,8 @@ with either the boxcar plug-in densities (empirical variant) or closed-form
 bivariate Gaussian densities (population variant).
 
 At the sample points everything rests on three closed window counts per
-point, (cx, cy, cxy), which `window_counts` finds without an n x n pass:
+point, (cx, cy, cxy), found without an n x n pass; `_t_values` turns them
+into T:
 
 - On one axis a window is a contiguous run of the sorted values: q - x
   rounds to a value non-increasing in x, so the x with |q - x| <= h form
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import unit_scaled
+from ._util import ordered_map, unit_scaled
 from .errors import (
     DepgapError,
     DimensionMismatch,
@@ -371,26 +372,22 @@ class _Axis:
     `prepare` step (see `measures`), so a row serves every pair it is in.
 
     It holds the values (a reference, not a copy), their sample standard
-    deviation, the boxcar bandwidth h and the margin at h. h defaults to
+    deviation, the boxcar bandwidth h and the `Margin` at h. h defaults to
     sd * n**(-1/6), which computes sd at once; with a given h, sd is only
     computed when first read. Per input value that is the margin's three
-    index arrays, 24 bytes on a 64-bit platform. `margin()` hands out a
-    `Margin` on those arrays; the joint count builds its mask table per
-    call, so nothing is cached on axes that threads share.
+    index arrays, 24 bytes on a 64-bit platform. A `Margin` is immutable
+    and the joint count builds its mask table per call, so threads can
+    share an axis.
     """
 
     def __init__(self, values: np.ndarray, h: float | None = None):
         self.values = values
         self.h = _bandwidth_of_sd(self.sd, values.size) if h is None else h
-        built = Margin.of(values, self.h)
-        self._arrays = built.rank, built.lo, built.hi
+        self.margin = Margin.of(values, self.h)
 
     @cached_property
     def sd(self) -> float:
         return _sample_sd(self.values)
-
-    def margin(self) -> Margin:
-        return Margin(*self._arrays)
 
 
 def _axes(sample: PairedSample, cfg: KdeConfig | None = None) -> tuple:
@@ -404,39 +401,36 @@ def _axes(sample: PairedSample, cfg: KdeConfig | None = None) -> tuple:
     return _Axis(sample.xs, cfg.h_x), _Axis(sample.ys, cfg.h_y)
 
 
-def window_counts(sample: PairedSample, cfg: KdeConfig):
-    """Closed boxcar window counts (cx, cy, cxy) at every sample point.
+def _t_values(x: _Axis, y: _Axis, perms=None, threads: int = 1) -> np.ndarray:
+    """Gap statistic T at every sample point of two prepared axes.
 
-    cx[j] counts the points k with |x_j - x_k| <= h_x, cy[j] likewise on y,
-    and cxy[j] the points inside both windows, j itself included. Each axis
-    is sorted once; a window is a contiguous run of the sorted values, since
-    x_j - x_k rounds monotonically in x_k, and its searchsorted edges are
-    repaired against |x_j - x_k| <= h_x where rounding decides (`Margin`).
-    cxy is a rectangle count in rank space (`joint_counts`) whose
-    temporaries stay within a fixed multiple of _WORKSPACE for every n.
-    """
-    mx = Margin.of(sample.xs, cfg.h_x)
-    my = Margin.of(sample.ys, cfg.h_y)
-    return mx.counts, my.counts, joint_counts(mx, my)
-
-
-def t_from_counts(cx, cy, cxy, cfg: KdeConfig) -> np.ndarray:
-    """Gap statistic T at sample points from their closed window counts.
+    With perms, a sequence of permutations of range(n), the result has one
+    row per perm: T on (xs, ys[perm]). A permuted y margin keeps every
+    window, so all rows come from one fancy index of y's margin and one
+    batched joint count; threads split the rows into that many batches, and
+    each row is the same for every split.
 
     The densities are formed with the bandwidths scaled by powers of two
     into [0.5, 2), and T is scaled back by the root of that factor
     (`_scaled_pair`). Both steps are exact, so T keeps its bits where the
     plain densities are normal floats, while at extreme bandwidths the
-    densities can no longer overflow or underflow. The counts may carry a
-    batch axis in front, as for a batch of y margins; n is the last axis.
+    densities can no longer overflow or underflow.
     """
-    n = cx.shape[-1]
-    h_x, h_y, k = _scaled_pair(cfg.h_x, cfg.h_y)
-    fx = cx / (2.0 * h_x) / n
-    fy = cy / (2.0 * h_y) / n
-    # Same denominator grouping as joint_density: swap-symmetric bits.
-    fxy = cxy / ((2.0 * h_x) * (2.0 * h_y)) / n
-    return np.ldexp(_gap(fx, fy, fxy), -k)
+    mx, n = x.margin, x.values.size
+    h_x, h_y, k = _scaled_pair(x.h, y.h)
+    fx = mx.counts / (2.0 * h_x) / n
+
+    def rows(my: Margin) -> np.ndarray:
+        fy = my.counts / (2.0 * h_y) / n
+        # Same denominator grouping as joint_density: swap-symmetric bits.
+        fxy = joint_counts(mx, my) / ((2.0 * h_x) * (2.0 * h_y)) / n
+        return np.ldexp(_gap(fx, fy, fxy), -k)
+
+    if perms is None:
+        return rows(y.margin)
+    perms = np.asarray(perms)
+    parts = np.array_split(perms, min(threads, len(perms))) if threads > 1 else [perms]
+    return np.concatenate(ordered_map(lambda part: rows(y.margin.permuted(part)), parts, threads))
 
 
 def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.ndarray:
@@ -445,7 +439,7 @@ def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.nda
     Self-inclusion of the boxcar window guarantees both marginals are
     positive at sample points, so the result is always finite.
     """
-    return t_from_counts(*window_counts(sample, cfg), cfg)
+    return _t_values(*_axes(sample, cfg))
 
 
 def _gap(fx, fy, fxy):

@@ -11,7 +11,6 @@ noise level; their parameters live in the spec's params map.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import UnknownFamily
 from .kde import GaussianSpec, PairedSample
@@ -226,7 +225,9 @@ def nb_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
     Gaussian copula with correlation 0.8 for the first m_correlated
     components and 0 otherwise.
     """
-    from scipy.stats import nbinom  # imported here: slow, and most CLI runs never need it
+    # Imported here: slow, and most CLI runs never need them.
+    from scipy.special import ndtr
+    from scipy.stats import nbinom
 
     if m_correlated not in (0, 1, 2, 3):
         raise ValueError("m_correlated must be 0, 1, 2, or 3")

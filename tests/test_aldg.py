@@ -235,7 +235,7 @@ class TestInflectionPointThreshold:
             s, cfg, grid=np.linspace(0.0, upper, 51), n_shuffles=10, seed=4
         )
         # A shuffle reuses both margins and costs one row of a joint count.
-        module = importlib.import_module("depgap.aldg")
+        module = importlib.import_module("depgap.kde")
         real = module.joint_counts
         rows = []
 
@@ -297,10 +297,16 @@ class TestAldgDriver:
         assert aldg(s).value == aldg(s, ThresholdRule.auto()).value
 
     def test_thread_invariance(self):
+        # 7 threads outnumber the asymptotic-norm rule's one count row.
         rng = np.random.default_rng(63)
         s = random_sample(rng, 120)
-        rule = ThresholdRule.uniform_error(seed=11)
-        assert aldg(s, rule, threads=1).value == aldg(s, rule, threads=4).value
+        for rule in (ThresholdRule.uniform_error(seed=11),
+                     ThresholdRule.inflection_point(seed=11),
+                     ThresholdRule.asymptotic_norm()):
+            want = aldg(s, rule, threads=1)
+            for threads in (4, 7):
+                got = aldg(s, rule, threads=threads)
+                assert (got.value, got.t_used) == (want.value, want.t_used)
 
     @pytest.mark.parametrize("kind", ["auto", "uniform-error", "inflection-point",
                                       "asymptotic-norm", "fixed"])

@@ -225,11 +225,13 @@ class TestIngestFields:
         assert (exc.value.row, exc.value.column) == (4, column)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only by spearman, kendall and nb_mix3.
+def test_cli_import_leaves_scipy_special_and_stats_unloaded():
+    # scipy.stats is imported only by spearman, kendall and nb_mix3, and
+    # scipy.special only by the asymptotic-norm rule, avgcsn and nb_mix3.
     src = str(Path(depgap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, depgap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = ("import sys, depgap.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.special', 'scipy.stats'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -25,7 +25,7 @@ from depgap import (
     t_statistic_population,
 )
 from depgap import kde
-from depgap.kde import Margin, joint_counts, window_counts
+from depgap.kde import Margin, joint_counts
 from oracles import (
     gaussian_t_brute,
     joint_density_brute,
@@ -268,6 +268,12 @@ def edge_inputs(draw, max_n=60):
     return values[0], values[1], hx, hy
 
 
+def window_counts(xs, ys, hx, hy):
+    """(cx, cy, cxy) at every sample point, from both margins and their joint count."""
+    mx, my = Margin.of(xs, hx), Margin.of(ys, hy)
+    return mx.counts, my.counts, joint_counts(mx, my)
+
+
 class TestWindowCounts:
     def test_rounded_grid_needs_the_edge_repair(self):
         xs = np.array([-1.0, -0.7, 0.6, 0.2, 0.8, 0.0])
@@ -281,7 +287,7 @@ class TestWindowCounts:
     @given(edge_inputs())
     def test_matches_closed_definition_on_ties(self, inputs):
         xs, ys, hx, hy = inputs
-        got = window_counts(PairedSample(xs, ys), KdeConfig(hx, hy))
+        got = window_counts(xs, ys, hx, hy)
         for a, b in zip(got, closed_counts(xs, ys, hx, hy)):
             assert np.array_equal(a, b)
 
@@ -293,7 +299,7 @@ class TestWindowCounts:
         want = closed_counts(xs, ys, hx, hy)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kde, "_WORKSPACE", workspace)
-            got = window_counts(PairedSample(xs, ys), KdeConfig(hx, hy))
+            got = window_counts(xs, ys, hx, hy)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -328,7 +334,7 @@ class TestWindowCounts:
         rng = np.random.default_rng(37)
         xs = np.round(rng.normal(size=300), 1) * 1e150
         ys = np.round(rng.normal(size=300), 1) * 1e150
-        got = window_counts(PairedSample(xs, ys), KdeConfig(1e149, 2e149))
+        got = window_counts(xs, ys, 1e149, 2e149)
         for a, b in zip(got, closed_counts(xs, ys, 1e149, 2e149)):
             assert np.array_equal(a, b)
 
