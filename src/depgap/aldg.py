@@ -8,7 +8,7 @@ and Monte Carlo population/influence quantities for bivariate Gaussians.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,26 +24,19 @@ from .kde import (
     _scaled_pair,
     _t_values,
     joint_counts,
-    t_statistic_at_sample_points,
     t_statistic_population,
 )
 from .synth import gaussian_pair
 
 RULE_KINDS = ("fixed", "uniform-error", "asymptotic-norm", "inflection-point", "auto")
-# The rules that draw y-shuffles, and so read their seed.
+# The rules that draw y-shuffles. They read their seed, and so does auto,
+# which hands it to uniform-error.
 _SHUFFLE_KINDS = ("uniform-error", "inflection-point")
 
 
 def default_n_shuffles(n: int) -> int:
     """Number of random shuffles used by the shuffle-based threshold rules."""
     return max(1000 // n, 5)
-
-
-def _checked_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 5 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be strictly increasing with >= 5 points")
-    return grid
 
 
 @dataclass
@@ -54,6 +47,8 @@ class ThresholdRule:
     (use n_shuffles, seed, and for the latter an optional t grid),
     "asymptotic-norm" (closed form, parameter free), or "auto", which picks
     uniform-error for n <= 200 and asymptotic-norm otherwise.
+    `draws_shuffles` and `reseeded` say which kinds draw y-shuffles and read
+    a seed; callers ask the rule instead of listing kinds.
     """
 
     kind: str
@@ -73,7 +68,21 @@ class ThresholdRule:
         if self.n_shuffles is not None and self.n_shuffles < 1:
             raise ValueError("n_shuffles must be at least 1")
         if self.grid is not None:
-            self.grid = _checked_grid(self.grid)
+            self.grid = np.asarray(self.grid, dtype=float)
+            if self.grid.size < 5 or not np.all(np.diff(self.grid) > 0):
+                raise ValueError("grid must be strictly increasing with >= 5 points")
+
+    @property
+    def draws_shuffles(self) -> bool:
+        """Whether the rule draws seeded y-shuffles (auto may, once resolved)."""
+        return self.kind in _SHUFFLE_KINDS
+
+    def reseeded(self, seed: int) -> "ThresholdRule":
+        """This rule with another seed. Fixed and asymptotic-norm read no
+        seed, so they come back as they are."""
+        if self.draws_shuffles or self.kind == "auto":
+            return replace(self, seed=seed)
+        return self
 
     @classmethod
     def fixed(cls, t: float) -> "ThresholdRule":
@@ -109,10 +118,7 @@ class AldgResult:
 
 def aldg_fixed_t(sample: PairedSample, cfg: KdeConfig, t: float) -> float:
     """Fraction of sample points with gap statistic T >= t (closed inequality)."""
-    if not t >= 0:
-        raise ValueError("threshold t must be nonnegative")
-    tvals = t_statistic_at_sample_points(sample, cfg)
-    return int(np.count_nonzero(tvals >= t)) / sample.n
+    return aldg(sample, ThresholdRule.fixed(t), cfg).value
 
 
 def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
@@ -128,11 +134,12 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
     return float(ndtri(1.0 - 1.0 / n)) / (root * n ** (1.0 / 3.0))
 
 
-def _shuffles(n: int, n_shuffles: int | None, seed: int) -> list:
-    """The seeded y-shuffles of the threshold rules, max(1000 // n, 5) by default."""
-    if n_shuffles is None:
-        n_shuffles = default_n_shuffles(n)
-    return [child_rng(seed, index).permutation(n) for index in range(n_shuffles)]
+def _shuffles(rule: ThresholdRule, n: int) -> list:
+    """The y-shuffles of n values that a resolved rule draws: n_shuffles
+    seeded permutations for the shuffle rules, none for the others."""
+    if not rule.draws_shuffles:
+        return []
+    return [child_rng(rule.seed, index).permutation(n) for index in range(rule.n_shuffles)]
 
 
 def _share_at_least(tvals, grid) -> np.ndarray:
@@ -156,10 +163,11 @@ def threshold_uniform_error(
     Each shuffle permutes ys (a seeded Fisher-Yates permutation), recomputes
     T at all shuffled sample points, and records the maximum; the median of
     those maxima estimates the uniform estimation error of T under
-    independence. Defaults to max(1000 // n, 5) shuffles.
+    independence. Defaults to max(1000 // n, 5) shuffles. The arguments are
+    checked as `ThresholdRule.uniform_error` checks them.
     """
-    perms = _shuffles(sample.n, n_shuffles, seed)
-    return _median_of_maxima(_t_values(*_axes(sample, cfg), perms, threads))
+    rule = _resolve_rule(ThresholdRule.uniform_error(n_shuffles, seed), sample.n)
+    return _median_of_maxima(_t_values(*_axes(sample, cfg), _shuffles(rule, sample.n), threads))
 
 
 def threshold_inflection_point(
@@ -177,12 +185,12 @@ def threshold_inflection_point(
     second difference (the steepest transition from fast to slow decline) is
     taken as that shuffle's estimate. Defaults: 51 grid points from 0 to twice
     the uniform-error threshold, and max(1000 // n, 5) shuffles. The default
-    grid's upper end comes from the same shuffles as the curves.
+    grid's upper end comes from the same shuffles as the curves. The
+    arguments are checked as `ThresholdRule.inflection_point` checks them.
     """
-    if grid is not None:
-        grid = _checked_grid(grid)
-    perms = _shuffles(sample.n, n_shuffles, seed)
-    return _inflection_point(_t_values(*_axes(sample, cfg), perms, threads), grid)
+    rule = _resolve_rule(ThresholdRule.inflection_point(grid, n_shuffles, seed), sample.n)
+    t_arrays = _t_values(*_axes(sample, cfg), _shuffles(rule, sample.n), threads)
+    return _inflection_point(t_arrays, rule.grid)
 
 
 def _inflection_point(t_arrays, grid) -> float:
@@ -204,23 +212,18 @@ def _inflection_point(t_arrays, grid) -> float:
 
 def _resolve_rule(rule: ThresholdRule | None, n: int) -> ThresholdRule:
     """The rule that applies at sample size n: auto (also None) picks its
-    branch, and the shuffle rules get their default shuffle count."""
+    branch, and a shuffle rule without a shuffle count gets
+    `default_n_shuffles(n)`. This is the only place that count is filled in.
+    """
     if rule is None:
         rule = ThresholdRule.auto()
-    if rule.kind != "auto":
-        resolved = rule
-    elif n <= 200:
-        resolved = ThresholdRule.uniform_error(seed=rule.seed)
-    else:
-        resolved = ThresholdRule.asymptotic_norm()
-    if resolved.kind in _SHUFFLE_KINDS and resolved.n_shuffles is None:
-        resolved = ThresholdRule(
-            resolved.kind,
-            n_shuffles=default_n_shuffles(n),
-            grid=resolved.grid,
-            seed=resolved.seed,
-        )
-    return resolved
+    if rule.kind == "auto" and n <= 200:
+        rule = ThresholdRule.uniform_error(seed=rule.seed)
+    elif rule.kind == "auto":
+        rule = ThresholdRule.asymptotic_norm()
+    if rule.draws_shuffles and rule.n_shuffles is None:
+        rule = replace(rule, n_shuffles=default_n_shuffles(n))
+    return rule
 
 
 def aldg(
@@ -244,8 +247,7 @@ def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
     counted as one batch.
     """
     n = x.values.size
-    shuffles = _shuffles(n, rule.n_shuffles, rule.seed) if rule.kind in _SHUFFLE_KINDS else []
-    t_all = _t_values(x, y, [np.arange(n), *shuffles], threads)
+    t_all = _t_values(x, y, [np.arange(n), *_shuffles(rule, n)], threads)
     tvals, t_arrays = t_all[0], t_all[1:]
     if rule.kind == "fixed":
         t = float(rule.t)

@@ -160,8 +160,15 @@ def ingest(path, format: str = "csv", transform: str = "none") -> ExpressionMatr
 def write_expression(matrix: ExpressionMatrix, path, format: str = "csv") -> None:
     """Write an ExpressionMatrix back out (first header cell "gene", LF, UTF-8)."""
     delim = "," if format == "csv" else "\t"
-    lines = [delim.join(["gene"] + list(matrix.cell_ids))]
-    for gid, row in zip(matrix.gene_ids, matrix.values):
+    _write_table(path, delim, matrix.cell_ids, matrix.gene_ids, matrix.values)
+
+
+def _write_table(path, delim: str, column_ids, row_ids, rows) -> None:
+    """A "gene"-headed table, one line per row id, floats by `fmt_float`,
+    LF, UTF-8. Unlike ExpressionMatrix, the rows may hold NaN (failed
+    matrix cells)."""
+    lines = [delim.join(["gene"] + list(column_ids))]
+    for gid, row in zip(row_ids, rows):
         lines.append(delim.join([gid] + [fmt_float(v) for v in row]))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -228,14 +235,7 @@ def _make_rule(kind: str, t, seed: int) -> ThresholdRule:
             raise _UsageError("--threshold-rule fixed requires --t")
         if not t >= 0:
             raise _UsageError(f"--t must be a threshold >= 0, got {t}")
-        return ThresholdRule.fixed(t)
-    if kind == "uniform-error":
-        return ThresholdRule.uniform_error(seed=seed)
-    if kind == "asymptotic-norm":
-        return ThresholdRule.asymptotic_norm()
-    if kind == "inflection-point":
-        return ThresholdRule.inflection_point(seed=seed)
-    return ThresholdRule.auto(seed=seed)
+    return ThresholdRule(kind, t=t).reseeded(seed)
 
 
 def _measure_kind(args, seed: int) -> MeasureKind:
@@ -285,11 +285,8 @@ def cmd_matrix(args) -> int:
     result = pairwise_matrix(table.values, kind, threads=args.threads, seed=seed)
 
     out = Path(args.out)
-    lines = [",".join(["gene"] + list(table.gene_ids))]
-    for gid, row in zip(table.gene_ids, result.matrix):
-        lines.append(",".join([gid] + [fmt_float(v) for v in row]))
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_table(out, ",", table.gene_ids, table.gene_ids, result.matrix)
 
     diag_path = out.with_suffix(".diagnostics.json")
     diag_path.write_bytes(

@@ -577,11 +577,7 @@ def run_threshold_comparison(
     population = population_aldg_gaussian(spec, grid, seed=child_seed(rule_root, 50))
     rows += [["curve", "population", float(t), float(share)] for t, share in zip(grid, population)]
 
-    rule_makers = (
-        ("uniform-error", lambda s: ThresholdRule.uniform_error(seed=s)),
-        ("inflection-point", lambda s: ThresholdRule.inflection_point(seed=s)),
-        ("asymptotic-norm", lambda s: ThresholdRule.asymptotic_norm()),
-    )
+    rule_kinds = ("uniform-error", "inflection-point", "asymptotic-norm")
 
     def one(cell, trial):
         small = gaussian_pair(spec, small_n, seed=child_seed(data_root, 1 + trial))
@@ -593,8 +589,8 @@ def run_threshold_comparison(
         )
         big = gaussian_pair(spec, n, seed=child_seed(data_root, 1000 + trial))
         estimates = [
-            aldg(big, make(child_seed(rule_root, 1000 + trial * 8 + ridx)))
-            for ridx, (_, make) in enumerate(rule_makers)
+            aldg(big, ThresholdRule(kind).reseeded(child_seed(rule_root, 1000 + trial * 8 + ridx)))
+            for ridx, kind in enumerate(rule_kinds)
         ]
         return (t_an, t_ue), estimates
 
@@ -603,7 +599,7 @@ def run_threshold_comparison(
         rows.append(["threshold", "asymptotic-norm", trial, t_an])
         rows.append(["threshold", "uniform-error", trial, t_ue])
     for trial, (_, estimates) in enumerate(results):
-        for (rule_name, _), res in zip(rule_makers, estimates):
+        for rule_name, res in zip(rule_kinds, estimates):
             rows.append(["estimate", rule_name, trial, res.value])
             rows.append(["estimate-threshold", rule_name, trial, res.t_used])
     return study.report(

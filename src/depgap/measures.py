@@ -19,13 +19,12 @@ import inspect
 import math
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import child_seed, ordered_map, unit_scaled
 from .aldg import (
-    _SHUFFLE_KINDS,
     ThresholdRule,
     _aldg_of_axes,
     _avgcsn_of_axes,
@@ -354,8 +353,9 @@ def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
     """
     if kind.tag == "aldg":
         rule = kind.params.get("rule") or ThresholdRule.auto()
-        if rule.kind in (*_SHUFFLE_KINDS, "auto"):
-            return MeasureKind("aldg", {**kind.params, "rule": replace(rule, seed=seed)})
+        reseeded = rule.reseeded(seed)
+        if reseeded is not rule:
+            return MeasureKind("aldg", {**kind.params, "rule": reseeded})
     return kind
 
 
@@ -369,8 +369,8 @@ def _seeded_pair(kind: MeasureKind, n: int, seed: int):
     pair, params = _MEASURES[kind.tag][1], kind.params
     if kind.tag == "aldg":
         rule = _resolve_rule(params.get("rule"), n)
-        if rule.kind in _SHUFFLE_KINDS:
-            return lambda index, x, y: pair(x, y, replace(rule, seed=child_seed(seed, index)))
+        if rule.draws_shuffles:
+            return lambda index, x, y: pair(x, y, rule.reseeded(child_seed(seed, index)))
         params = {"rule": rule}
     return lambda index, x, y: pair(x, y, **params)
 

@@ -6,9 +6,16 @@ eps standard normal, where c is the noise level. Geometric families (circle,
 spiral, checkerboard, x-cross) perturb only the y coordinate with c * eps so
 the noise level means the same thing everywhere. Mixture families ignore the
 noise level; their parameters live in the spec's params map.
+
+`FAMILIES` is the one catalogue: each of the fourteen families, the mixtures
+and `custom` included, maps to its draw and the parameter names it reads.
+`SynthSpec` validates against it and `generate` draws from it on an rng
+seeded by the spec. The direct generators `gauss_mix3`, `nb_mix3` and
+`unif_point_mass` run the same draws, with the same bits.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,24 +39,6 @@ GRID_FAMILIES = (
     "x-cross",
 )
 
-_FAMILY_PARAMS = {
-    "independent": set(),
-    "linear": set(),
-    "quadratic": set(),
-    "cubic": set(),
-    "sine": {"freq"},
-    "circle": set(),
-    "step": set(),
-    "checkerboard": set(),
-    "spiral": set(),
-    "x-cross": set(),
-    "gauss_mix3": {"m"},
-    "nb_mix3": {"m"},
-    "unif_point_mass": {"alpha", "r"},
-    "custom": {"h"},
-}
-
-
 @dataclass
 class SynthSpec:
     """A named bivariate distribution family plus its parameters."""
@@ -61,9 +50,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
+        if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown synthetic family {self.family!r}")
-        extra = set(self.params) - _FAMILY_PARAMS[self.family]
+        extra = set(self.params) - set(FAMILIES[self.family][1])
         if extra:
             raise UnknownFamily(
                 f"family {self.family!r} does not take parameters {sorted(extra)}"
@@ -93,6 +82,10 @@ class SynthSpec:
             params=dict(payload.get("params", {})),
             seed=int(payload.get("seed", 0)),
         )
+
+
+def _rng(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def _functional(h):
@@ -143,47 +136,6 @@ def _step_values(xs, params):
     return np.where(xs < -1.0 / 3.0, -1.0, np.where(xs > 1.0 / 3.0, 1.0, 0.0))
 
 
-FAMILIES = {
-    "independent": _draw_independent,
-    "linear": _functional(lambda xs, p: xs),
-    "quadratic": _functional(lambda xs, p: xs**2),
-    "cubic": _functional(lambda xs, p: xs**3),
-    "sine": _functional(lambda xs, p: np.sin(p.get("freq", 2.0) * np.pi * xs)),
-    "circle": _draw_circle,
-    "step": _functional(_step_values),
-    "checkerboard": _draw_checkerboard,
-    "spiral": _draw_spiral,
-    "x-cross": _draw_x_cross,
-}
-
-
-def generate(spec: SynthSpec) -> PairedSample:
-    """Draw a paired sample for a spec; a pure function of (spec, seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    if spec.family in FAMILIES:
-        xs, ys = FAMILIES[spec.family](spec, rng)
-        return PairedSample(xs, ys)
-    if spec.family == "custom":
-        h = spec.params["h"]
-        xs = rng.uniform(-1.0, 1.0, spec.n)
-        ys = np.asarray(h(xs), dtype=float) + spec.noise_level * rng.standard_normal(
-            spec.n
-        )
-        return PairedSample(xs, ys)
-    if spec.family == "gauss_mix3":
-        return gauss_mix3(int(spec.params.get("m", 0)), spec.n, spec.seed)
-    if spec.family == "nb_mix3":
-        return nb_mix3(int(spec.params.get("m", 0)), spec.n, spec.seed)
-    if spec.family == "unif_point_mass":
-        return unif_point_mass(
-            float(spec.params.get("alpha", 0.1)),
-            float(spec.params.get("r", 0.01)),
-            spec.n,
-            spec.seed,
-        )
-    raise UnknownFamily(f"unknown synthetic family {spec.family!r}")
-
-
 _MIX3_MEANS = ((-4.0, -4.0), (0.0, 0.0), (4.0, 4.0))
 _MIX3_RHO = 0.8
 # Largest mean first: the low-mean component is tie-dominated, so its copula
@@ -193,12 +145,91 @@ _NB3_MEANS = (80.0, 20.0, 5.0)
 _NB3_DISPERSION = 2.0
 
 
-def _mixture_labels_and_normals(n, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    labels = rng.integers(0, 3, n)
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    return labels, z1, z2
+def _checked_m(m):
+    # The direct generators check m as given, before the table's int(), so
+    # they refuse m = 2.5, which a spec's int() truncates to 2.
+    if m not in (0, 1, 2, 3):
+        raise ValueError("m_correlated must be 0, 1, 2, or 3")
+    return m
+
+
+def _mixture_draws(spec, rng):
+    """Component labels, each point's copula correlation, and two normals."""
+    m = _checked_m(int(spec.params.get("m", 0)))
+    labels = rng.integers(0, 3, spec.n)
+    z1 = rng.standard_normal(spec.n)
+    z2 = rng.standard_normal(spec.n)
+    return labels, np.where(labels < m, _MIX3_RHO, 0.0), z1, z2
+
+
+def _draw_gauss_mix3(spec, rng):
+    labels, rho, z1, z2 = _mixture_draws(spec, rng)
+    means = np.array(_MIX3_MEANS)
+    xs = means[labels, 0] + z1
+    ys = means[labels, 1] + rho * z1 + np.sqrt(1.0 - rho**2) * z2
+    return xs, ys
+
+
+def _draw_nb_mix3(spec, rng):
+    # Imported here: slow, and most CLI runs never need them.
+    from scipy.special import ndtr
+    from scipy.stats import nbinom
+
+    labels, rho, z1, z2 = _mixture_draws(spec, rng)
+    g2 = rho * z1 + np.sqrt(1.0 - rho**2) * z2
+    u1 = np.clip(ndtr(z1), 1e-15, 1.0 - 1e-15)
+    u2 = np.clip(ndtr(g2), 1e-15, 1.0 - 1e-15)
+    mu = np.array(_NB3_MEANS)[labels]
+    size = _NB3_DISPERSION
+    p = size / (size + mu)
+    return nbinom.ppf(u1, size, p), nbinom.ppf(u2, size, p)
+
+
+def _checked_point_mass(alpha, r):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0.0 < r <= 1.0:
+        raise ValueError("r must lie in (0, 1]")
+
+
+def _draw_unif_point_mass(spec, rng):
+    alpha, r = float(spec.params.get("alpha", 0.1)), float(spec.params.get("r", 0.01))
+    _checked_point_mass(alpha, r)
+    in_mass = rng.random(spec.n) < alpha
+    scale = np.where(in_mass, r, 1.0)
+    xs = scale * rng.uniform(-1.0, 1.0, spec.n)
+    ys = scale * rng.uniform(-1.0, 1.0, spec.n)
+    return xs, ys
+
+
+# family: (draw(spec, rng) -> (xs, ys), the parameter names it reads).
+FAMILIES = {
+    "independent": (_draw_independent, ()),
+    "linear": (_functional(lambda xs, p: xs), ()),
+    "quadratic": (_functional(lambda xs, p: xs**2), ()),
+    "cubic": (_functional(lambda xs, p: xs**3), ()),
+    "sine": (_functional(lambda xs, p: np.sin(p.get("freq", 2.0) * np.pi * xs)), ("freq",)),
+    "circle": (_draw_circle, ()),
+    "step": (_functional(_step_values), ()),
+    "checkerboard": (_draw_checkerboard, ()),
+    "spiral": (_draw_spiral, ()),
+    "x-cross": (_draw_x_cross, ()),
+    "gauss_mix3": (_draw_gauss_mix3, ("m",)),
+    "nb_mix3": (_draw_nb_mix3, ("m",)),
+    "unif_point_mass": (_draw_unif_point_mass, ("alpha", "r")),
+    "custom": (_functional(lambda xs, p: np.asarray(p["h"](xs), dtype=float)), ("h",)),
+}
+
+
+def generate(spec: SynthSpec) -> PairedSample:
+    """Draw a paired sample for a spec; a pure function of (spec, seed)."""
+    return PairedSample(*FAMILIES[spec.family][0](spec, _rng(spec.seed)))
+
+
+def _generate_unchecked(family: str, n: int, seed: int, **params) -> PairedSample:
+    """`generate` without SynthSpec's checks, so that the direct generators
+    keep their own errors: TooFewSamples from PairedSample for n < 2."""
+    return generate(SimpleNamespace(family=family, n=n, noise_level=0.0, params=params, seed=seed))
 
 
 def gauss_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
@@ -207,14 +238,7 @@ def gauss_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
     Component means are (-4, -4), (0, 0), (4, 4); the first m_correlated
     components use correlation 0.8, the rest are independent.
     """
-    if m_correlated not in (0, 1, 2, 3):
-        raise ValueError("m_correlated must be 0, 1, 2, or 3")
-    labels, z1, z2 = _mixture_labels_and_normals(n, seed)
-    rho = np.where(labels < m_correlated, _MIX3_RHO, 0.0)
-    means = np.array(_MIX3_MEANS)
-    xs = means[labels, 0] + z1
-    ys = means[labels, 1] + rho * z1 + np.sqrt(1.0 - rho**2) * z2
-    return PairedSample(xs, ys)
+    return _generate_unchecked("gauss_mix3", n, seed, m=_checked_m(m_correlated))
 
 
 def nb_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
@@ -225,24 +249,7 @@ def nb_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
     Gaussian copula with correlation 0.8 for the first m_correlated
     components and 0 otherwise.
     """
-    # Imported here: slow, and most CLI runs never need them.
-    from scipy.special import ndtr
-    from scipy.stats import nbinom
-
-    if m_correlated not in (0, 1, 2, 3):
-        raise ValueError("m_correlated must be 0, 1, 2, or 3")
-    labels, z1, z2 = _mixture_labels_and_normals(n, seed)
-    rho = np.where(labels < m_correlated, _MIX3_RHO, 0.0)
-    g1 = z1
-    g2 = rho * z1 + np.sqrt(1.0 - rho**2) * z2
-    u1 = np.clip(ndtr(g1), 1e-15, 1.0 - 1e-15)
-    u2 = np.clip(ndtr(g2), 1e-15, 1.0 - 1e-15)
-    mu = np.array(_NB3_MEANS)[labels]
-    size = _NB3_DISPERSION
-    p = size / (size + mu)
-    xs = nbinom.ppf(u1, size, p)
-    ys = nbinom.ppf(u2, size, p)
-    return PairedSample(xs, ys)
+    return _generate_unchecked("nb_mix3", n, seed, m=_checked_m(m_correlated))
 
 
 def unif_point_mass(alpha: float, r: float, n: int, seed: int = 0) -> PairedSample:
@@ -251,16 +258,8 @@ def unif_point_mass(alpha: float, r: float, n: int, seed: int = 0) -> PairedSamp
     With probability alpha both coordinates are independent uniforms on
     [-r, r]; otherwise both are independent uniforms on [-1, 1].
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < r <= 1.0:
-        raise ValueError("r must lie in (0, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    in_mass = rng.random(n) < alpha
-    scale = np.where(in_mass, r, 1.0)
-    xs = scale * rng.uniform(-1.0, 1.0, n)
-    ys = scale * rng.uniform(-1.0, 1.0, n)
-    return PairedSample(xs, ys)
+    _checked_point_mass(alpha, r)
+    return _generate_unchecked("unif_point_mass", n, seed, alpha=alpha, r=r)
 
 
 def gaussian_pair(spec: GaussianSpec, n: int, seed: int = 0) -> PairedSample:
@@ -271,7 +270,7 @@ def gaussian_pair(spec: GaussianSpec, n: int, seed: int = 0) -> PairedSample:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
     xs = spec.mu_x + spec.sigma_x * z1
@@ -306,5 +305,4 @@ def contaminate(sample: PairedSample, spec: ContaminationSpec) -> PairedSample:
 
 def shuffle_y(sample: PairedSample, seed: int = 0) -> PairedSample:
     """Permute the y values uniformly at random, leaving x untouched."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return PairedSample(sample.xs.copy(), rng.permutation(sample.ys))
+    return PairedSample(sample.xs.copy(), _rng(seed).permutation(sample.ys))

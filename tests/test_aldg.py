@@ -123,6 +123,14 @@ class TestThresholdRuleValidation:
     def test_n_shuffles_bounds(self):
         with pytest.raises(ValueError):
             ThresholdRule.uniform_error(n_shuffles=0)
+        # The public threshold functions check their shuffle count as the rule does.
+        s = random_sample(np.random.default_rng(57), 20)
+        cfg = default_config(s)
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                threshold_uniform_error(s, cfg, n_shuffles=bad)
+            with pytest.raises(ValueError):
+                threshold_inflection_point(s, cfg, n_shuffles=bad)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from depgap import (
     ContaminationSpec,
     GaussianSpec,
     SynthSpec,
+    TooFewSamples,
     UnknownFamily,
     contaminate,
     gauss_mix3,
@@ -135,6 +136,9 @@ class TestMixtures:
                 gauss_mix3(bad, 100)
             with pytest.raises(ValueError):
                 nb_mix3(bad, 100)
+        # The sample's own check, not SynthSpec's ValueError for n < 2.
+        with pytest.raises(TooFewSamples):
+            gauss_mix3(1, 1)
 
     def test_gauss_mixture_centers(self):
         s = gauss_mix3(0, 6000, seed=21)
@@ -188,6 +192,8 @@ class TestUnifPointMass:
         for r in (0.0, 1.5):
             with pytest.raises(ValueError):
                 unif_point_mass(0.1, r, 100)
+        with pytest.raises(TooFewSamples):
+            unif_point_mass(0.1, 0.01, 1)
 
     def test_spec_dispatch(self):
         via_spec = generate(
