@@ -135,10 +135,8 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
 
 
 def _shuffles(rule: ThresholdRule, n: int) -> list:
-    """The y-shuffles of n values that a resolved rule draws: n_shuffles
-    seeded permutations for the shuffle rules, none for the others."""
-    if not rule.draws_shuffles:
-        return []
+    """The y-shuffles of n values that a resolved shuffle rule draws:
+    n_shuffles seeded permutations."""
     return [child_rng(rule.seed, index).permutation(n) for index in range(rule.n_shuffles)]
 
 
@@ -243,12 +241,15 @@ def aldg(
 def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
     """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
 
-    The unshuffled y margin and the rule's shuffles, if it draws any, are
-    counted as one batch.
+    A rule that draws shuffles has the unshuffled y margin and its shuffles
+    counted as one batch; the others count the unshuffled margin alone.
     """
     n = x.values.size
-    t_all = _t_values(x, y, [np.arange(n), *_shuffles(rule, n)], threads)
-    tvals, t_arrays = t_all[0], t_all[1:]
+    if rule.draws_shuffles:
+        t_all = _t_values(x, y, [np.arange(n), *_shuffles(rule, n)], threads)
+        tvals, t_arrays = t_all[0], t_all[1:]
+    else:
+        tvals = _t_values(x, y)
     if rule.kind == "fixed":
         t = float(rule.t)
     elif rule.kind == "asymptotic-norm":

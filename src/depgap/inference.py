@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import child_rng, child_seed, ordered_map
-from .kde import PairedSample
+from .kde import Margin, PairedSample
 from .measures import _MEASURES, SIGNED_TAGS, MeasureKind, _seeded_pair
 from .synth import SynthSpec, generate
 
@@ -38,9 +38,11 @@ def permutation_test(
     measure(kind_with_seed(kind, child_seed(seed, b)), ...), b = 0 being the
     observed one.
 
-    xs is prepared once (the measure's `prepare` step) and each permuted ys
-    afresh: a permuted axis's standard deviation can differ from the
-    original's in its last bits, since np.std sums in another order.
+    xs and ys are prepared once (the measure's `prepare` step). A width-0
+    margin of ys is permuted as it stands; any other prepared ys is built
+    afresh from the permuted values, since a permuted axis's standard
+    deviation can differ from the original's in its last bits (np.std sums
+    in another order).
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
@@ -49,15 +51,16 @@ def permutation_test(
     signed = kind.tag in SIGNED_TAGS
     prepare = _MEASURES[kind.tag][0]
     pair = _seeded_pair(kind, sample.n, seed)
-    x = prepare(sample.xs)
+    x, y = prepare(sample.xs), prepare(sample.ys)
+    permuted = y.permuted if isinstance(y, Margin) else lambda perm: prepare(sample.ys[perm])
 
-    def stat(b, ys):
-        value = pair(b, x, prepare(ys))
+    def stat(b, y):
+        value = pair(b, x, y)
         return abs(value) if signed else value
 
-    observed = stat(0, sample.ys)
+    observed = stat(0, y)
     null_stats = ordered_map(
-        lambda b: stat(b, child_rng(seed, b).permutation(sample.ys)),
+        lambda b: stat(b, permuted(child_rng(seed, b).permutation(sample.n))),
         range(1, n_perms + 1),
         threads,
     )

@@ -229,9 +229,10 @@ class Margin:
 
     The arrays may also hold a batch of margins of one axis, shape (S, n),
     such as the y-shuffles of `permuted` with a batch of permutations;
-    `joint_counts` counts them all against one x margin. `measures._hoeffd`
-    and `measures._mr` read the edges of width-0 margins as corners of
-    `corner_counts` instead.
+    `joint_counts` counts them all against one x margin. `measures._kendall`,
+    `measures._hoeffd` and `measures._mr` read the edges of width-0 margins
+    as corners of `corner_counts` instead, and `measures._ranks` reads them
+    as average ranks.
     """
 
     rank: np.ndarray

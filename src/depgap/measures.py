@@ -8,11 +8,12 @@ uniformly.
 
 Every entry is two functions. `prepare(values)` does one axis's own work:
 a `kde._Axis` for the local-density family, a width-0 `Margin` for
-Hoeffding's D and matching ranks, the ranks for Spearman, and the values
-themselves for the rest. `pair(x, y, **params)` is the measure on two
-prepared axes. So `measure` is pair(prepare(xs), prepare(ys)), while
-`pairwise_matrix` prepares each row once and `permutation_test` prepares x
-once, whatever the measure.
+Kendall's tau, Hoeffding's D and matching ranks, the ranks for Spearman,
+and the values themselves for the rest. `pair(x, y, **params)` is the
+measure on two prepared axes. So `measure` is pair(prepare(xs),
+prepare(ys)), while `pairwise_matrix` prepares each row once and
+`permutation_test` prepares x once, whatever the measure, and y once for
+the width-0 margins, which permute exactly.
 """
 
 import inspect
@@ -72,24 +73,69 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    from scipy.stats import rankdata  # imported here: slow, and most CLI runs never need it
-
-    return rankdata(values)
-
-
-def _kendall(xs: np.ndarray, ys: np.ndarray) -> float:
-    from scipy.stats import kendalltau  # imported here: slow, and most CLI runs never need it
-
-    tau = kendalltau(xs, ys, variant="b")[0]
-    if not np.isfinite(tau):
-        raise ZeroVariance("Kendall tau-b is undefined when one input is constant")
-    return float(tau)
-
-
 def _tie_margin(values: np.ndarray) -> Margin:
-    """Width-0 margin: lo counts the values below each point, hi those at or below it."""
-    return Margin.of(values, 0.0)
+    """Width-0 margin: lo counts the values below each point, hi those at or below it.
+
+    These are `Margin.of(values, 0.0)`'s edges, read off the runs of equal
+    sorted values instead of searched for. The argsort need not be stable,
+    which makes it several times faster on thousands of values: no width-0
+    measure depends on how tied values share their ranks.
+    """
+    n = values.size
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    starts = np.flatnonzero(new)
+    run = (np.cumsum(new) - 1)[rank]
+    return Margin(rank, starts[run], np.append(starts[1:], n)[run])
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks from 1, ties sharing the mean of their positions: exact
+    half-integers, scipy's `rankdata` to the bit."""
+    m = _tie_margin(values)
+    return (m.lo + m.hi + 1) / 2
+
+
+# Above this many values scipy's O(n log n) merge count beats the mask
+# table, whose words grow as n^2 / 64: on a 2-core host the two cross
+# between 3,000 and 4,000 values (BENCH_rank_measures.json).
+_KENDALL_MASK_MAX = 3000
+
+
+def _kendall(mx: Margin, my: Margin) -> float:
+    """Kendall's tau-b from pair counts on width-0 margins.
+
+    lo_x - lh counts the points strictly left of a point and strictly above
+    it, so its sum counts each discordant pair once. A margin's counts are
+    the points tied with a point on its axis, and hh - hl - lh + ll those
+    tied with it on both, the point itself included each time, so those
+    sums count each tied pair twice. The tau formula is scipy's
+    `kendalltau` (variant "b") in its order of operations, so the bits
+    agree. Above _KENDALL_MASK_MAX values scipy counts instead, on the lo
+    edges, which order the points as their values do.
+    """
+    n = mx.rank.size
+    # A constant axis is one run of ties: its first point's window holds all n.
+    if mx.hi[0] - mx.lo[0] == n or my.hi[0] - my.lo[0] == n:
+        raise ZeroVariance("Kendall tau-b is undefined when one input is constant")
+    if n > _KENDALL_MASK_MAX:
+        from scipy.stats import kendalltau  # imported here: slow, and only large n needs it
+
+        return float(kendalltau(mx.lo, my.lo, variant="b")[0])
+    tot = n * (n - 1) // 2
+    xtie = int(np.sum(mx.counts - 1)) // 2
+    ytie = int(np.sum(my.counts - 1)) // 2
+    (ll, hl), (lh, hh) = corner_counts(mx.rank, my.rank, np.array((mx.lo, mx.hi)),
+                                       np.array((my.lo, my.hi)))
+    ntie = int(np.sum(hh - hl - lh + ll - 1)) // 2
+    dis = int(np.sum(mx.lo - lh))
+    tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 def _hoeffd(mx: Margin, my: Margin) -> float:
@@ -275,17 +321,18 @@ def _mr(mx: Margin, my: Margin) -> float:
 
     A triple matches forward when every pair in it agrees in sign: strictly
     concordant, or identical in both coordinates. Ordering points by
-    "strictly below-left", and identical points by index, makes the matching
-    triples exactly the 3-chains of that order, which number
+    "strictly below-left", and identical points by x rank, makes the
+    matching triples exactly the 3-chains of that order, which number
     sum_j L(j) U(j) with L(j) and U(j) the points before and after j. The
     backward count is the same on (x, -y). The count is exact, so perfectly
     monotone data, which matches every subsequence in exactly one
     direction, scores exactly 1/2, the maximum.
 
     The counts are corners of F(a, b) on width-0 margins (`corner_counts`).
-    Their stable ranks keep tied values in index order, so the identical
-    points before a point are those at x ranks [lo, rank) that tie with it
-    on y.
+    The identical points before a point are those at x ranks [lo, rank)
+    that tie with it on y. Over k identical points that count runs through
+    0..k-1 however the ties were ranked, so the sum is the same for any
+    ranking.
     """
     n = mx.rank.size
     if n < 3:
@@ -317,7 +364,7 @@ def _values(values: np.ndarray) -> np.ndarray:
 _MEASURES = {
     "pearson": (_values, _pearson),
     "spearman": (_ranks, _pearson),
-    "kendall": (_values, _kendall),
+    "kendall": (_tie_margin, _kendall),
     "hoeffd": (_tie_margin, _hoeffd),
     "dcor": (_values, _dcor),
     "hsic": (_values, _hsic),

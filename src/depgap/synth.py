@@ -14,6 +14,7 @@ seeded by the spec. The direct generators `gauss_mix3`, `nb_mix3` and
 `unif_point_mass` run the same draws, with the same bits.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -145,17 +146,14 @@ _NB3_MEANS = (80.0, 20.0, 5.0)
 _NB3_DISPERSION = 2.0
 
 
-def _checked_m(m):
-    # The direct generators check m as given, before the table's int(), so
-    # they refuse m = 2.5, which a spec's int() truncates to 2.
+def _mixture_draws(spec, rng):
+    """Component labels, each point's copula correlation, and two normals.
+
+    m is checked as given, never coerced: 2.5 and "2" are refused.
+    """
+    m = spec.params.get("m", 0)
     if m not in (0, 1, 2, 3):
         raise ValueError("m_correlated must be 0, 1, 2, or 3")
-    return m
-
-
-def _mixture_draws(spec, rng):
-    """Component labels, each point's copula correlation, and two normals."""
-    m = _checked_m(int(spec.params.get("m", 0)))
     labels = rng.integers(0, 3, spec.n)
     z1 = rng.standard_normal(spec.n)
     z2 = rng.standard_normal(spec.n)
@@ -185,16 +183,13 @@ def _draw_nb_mix3(spec, rng):
     return nbinom.ppf(u1, size, p), nbinom.ppf(u2, size, p)
 
 
-def _checked_point_mass(alpha, r):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < r <= 1.0:
-        raise ValueError("r must lie in (0, 1]")
-
-
 def _draw_unif_point_mass(spec, rng):
-    alpha, r = float(spec.params.get("alpha", 0.1)), float(spec.params.get("r", 0.01))
-    _checked_point_mass(alpha, r)
+    # Checked as given, never coerced: a string such as "0.1" is refused.
+    alpha, r = spec.params.get("alpha", 0.1), spec.params.get("r", 0.01)
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
+    if not (isinstance(r, numbers.Real) and 0.0 < r <= 1.0):
+        raise ValueError("r must lie in (0, 1]")
     in_mass = rng.random(spec.n) < alpha
     scale = np.where(in_mass, r, 1.0)
     xs = scale * rng.uniform(-1.0, 1.0, spec.n)
@@ -238,7 +233,7 @@ def gauss_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
     Component means are (-4, -4), (0, 0), (4, 4); the first m_correlated
     components use correlation 0.8, the rest are independent.
     """
-    return _generate_unchecked("gauss_mix3", n, seed, m=_checked_m(m_correlated))
+    return _generate_unchecked("gauss_mix3", n, seed, m=m_correlated)
 
 
 def nb_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
@@ -249,7 +244,7 @@ def nb_mix3(m_correlated: int, n: int, seed: int = 0) -> PairedSample:
     Gaussian copula with correlation 0.8 for the first m_correlated
     components and 0 otherwise.
     """
-    return _generate_unchecked("nb_mix3", n, seed, m=_checked_m(m_correlated))
+    return _generate_unchecked("nb_mix3", n, seed, m=m_correlated)
 
 
 def unif_point_mass(alpha: float, r: float, n: int, seed: int = 0) -> PairedSample:
@@ -258,7 +253,6 @@ def unif_point_mass(alpha: float, r: float, n: int, seed: int = 0) -> PairedSamp
     With probability alpha both coordinates are independent uniforms on
     [-r, r]; otherwise both are independent uniforms on [-1, 1].
     """
-    _checked_point_mass(alpha, r)
     return _generate_unchecked("unif_point_mass", n, seed, alpha=alpha, r=r)
 
 

@@ -225,15 +225,34 @@ class TestIngestFields:
         assert (exc.value.row, exc.value.column) == (4, column)
 
 
-def test_cli_import_leaves_scipy_special_and_stats_unloaded():
-    # scipy.stats is imported only by spearman, kendall and nb_mix3, and
-    # scipy.special only by the asymptotic-norm rule, avgcsn and nb_mix3.
+def run_python(code: str) -> str:
+    """stdout of `python -c code` in a fresh process that imports this checkout's depgap."""
     src = str(Path(depgap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_cli_import_leaves_scipy_special_and_stats_unloaded():
+    # scipy.stats is imported only by nb_mix3, and scipy.special only by
+    # the asymptotic-norm rule, avgcsn and nb_mix3.
     code = ("import sys, depgap.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.special', 'scipy.stats'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+def test_rank_measures_leave_scipy_stats_unloaded(tmp_path):
+    sample = generate(SynthSpec("linear", 40, noise_level=0.5, seed=3))
+    write_pairs(sample, tmp_path / "xy.csv")
+    expr = make_expression_file(tmp_path / "expr.csv")
+    runs = [
+        ["test", str(tmp_path / "xy.csv"), "--measure", "spearman", "--n-perms", "5"],
+        ["test", str(tmp_path / "xy.csv"), "--measure", "kendall", "--n-perms", "5"],
+        ["matrix", str(expr), "--measure", "kendall", "--out", str(tmp_path / "m.csv")],
+    ]
+    code = (f"import sys, depgap.cli as c; codes = [c.main(argv) for argv in {runs!r}];"
+            " print(codes, sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert run_python(code).splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestExpressionOutput:

@@ -17,7 +17,7 @@ from depgap import (
     permutation_test,
     power_estimate,
 )
-from depgap import inference
+from depgap import inference, measures
 from depgap._util import child_rng, child_seed, ordered_map
 from depgap.measures import kind_with_seed
 
@@ -89,6 +89,8 @@ class TestPermutationTest:
             ThresholdRule.auto(seed=4),
         )},
         "avgcsn-0.2": MeasureKind("avgcsn", {"alpha": 0.2}),
+        # Kendall's large-n route (scipy) on permuted margins, forced at these n.
+        "kendall-scipy": MeasureKind("kendall"),
     }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -96,6 +98,8 @@ class TestPermutationTest:
     @pytest.mark.parametrize("name", KINDS)
     def test_equals_a_loop_of_measure(self, name, n, threads, monkeypatch):
         kind, seed, n_perms = self.KINDS[name], 17, 6
+        if name == "kendall-scipy":
+            monkeypatch.setattr(measures, "_KENDALL_MASK_MAX", 1)
         rng = np.random.default_rng(n)
         xs = rng.normal(size=n)
         s = PairedSample(xs, np.round(0.3 * xs + rng.normal(size=n), 1))

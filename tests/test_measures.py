@@ -1,11 +1,13 @@
 """The measure registry against brute-force references and its batch driver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau, rankdata, spearmanr
 
 from depgap import (
     MEASURE_TAGS,
@@ -25,7 +27,8 @@ from depgap import (
     pairwise_matrix,
 )
 from depgap._util import child_seed
-from depgap.measures import kind_with_seed
+from depgap import measures as measures_module
+from depgap.measures import _KENDALL_MASK_MAX, _ranks, kind_with_seed
 from oracles import (
     dcor_brute,
     hhg_brute,
@@ -82,9 +85,9 @@ NO_RUNTIME_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @st.composite
-def tied_inputs(draw, min_n, pools=_TIED_POOLS):
-    """Paired values of length min_n..9 from one pool, sometimes with a constant axis."""
-    n = draw(st.integers(min_n, 9))
+def tied_inputs(draw, min_n, pools=_TIED_POOLS, max_n=9):
+    """Paired values of length min_n..max_n from one pool, sometimes with a constant axis."""
+    n = draw(st.integers(min_n, max_n))
     pool = pools[draw(st.sampled_from(sorted(pools)))]
     xs = draw(st.lists(pool, min_size=n, max_size=n))
     ys = draw(st.lists(pool, min_size=n, max_size=n))
@@ -177,6 +180,77 @@ class TestKendall:
     def test_constant_input(self):
         with pytest.raises(ZeroVariance):
             measure("kendall", PairedSample([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+
+
+# Pools for the bit-identity tests against scipy: integer lattices, a 0.1
+# grid, and signed zeros with magnitudes at the ends of the float range.
+_SCIPY_POOLS = {
+    "lattice": st.integers(-3, 3).map(float),
+    "grid": st.integers(-20, 20).map(lambda k: k / 10),
+    "extreme": st.sampled_from([-1.7976931348623157e308, -1e300, -0.0, 0.0, 5e-324, 1.0,
+                                1e300, 1.7976931348623157e308]),
+}
+# Up to 150 values, so that the ranks span several 64-bit words.
+SCIPY_BITS_INPUTS = tied_inputs(2, _SCIPY_POOLS, max_n=150)
+# n = 2 with ties, signed zeros and the float range's ends.
+N2_EXAMPLES = (([1.0, 2.0], [2.0, 1.0]), ([0.1, 0.1], [0.2, 0.1]), ([-0.0, 0.0], [1e300, -1e300]),
+               ([-1.7976931348623157e308, 5e-324], [1.7976931348623157e308, 1.0]))
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def with_n2_examples(test):
+    for inputs in N2_EXAMPLES:
+        test = example(inputs=inputs)(test)
+    return test
+
+
+class TestScipyBits:
+    """Spearman's ranks and Kendall's tau-b equal scipy's to the bit; the
+    library computes both without scipy.stats, except Kendall above
+    _KENDALL_MASK_MAX values, which scipy counts."""
+
+    @NO_RUNTIME_WARNINGS
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(inputs=SCIPY_BITS_INPUTS)
+    @with_n2_examples
+    def test_spearman_is_pearson_of_rankdata(self, inputs):
+        xs, ys = inputs
+        assert _ranks(np.array(xs)).tobytes() == rankdata(xs).tobytes()
+        if len(set(xs)) == 1 or len(set(ys)) == 1:
+            with pytest.raises(ZeroVariance):
+                measure("spearman", PairedSample(xs, ys))
+            return
+        got = measure("spearman", PairedSample(xs, ys))
+        assert same_bits(got, measure("pearson", PairedSample(rankdata(xs), rankdata(ys))))
+        # spearmanr rounds in another order: equal to the last bits only.
+        assert got == pytest.approx(spearmanr(xs, ys)[0], rel=1e-12, abs=1e-15)
+
+    @NO_RUNTIME_WARNINGS
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(inputs=SCIPY_BITS_INPUTS)
+    @with_n2_examples
+    def test_kendall_is_kendalltau_b(self, inputs):
+        xs, ys = inputs
+        want = kendalltau(xs, ys, variant="b")[0]
+        if len(set(xs)) == 1 or len(set(ys)) == 1:
+            assert math.isnan(want)
+            with pytest.raises(ZeroVariance):
+                measure("kendall", PairedSample(xs, ys))
+            return
+        got = measure("kendall", PairedSample(xs, ys))
+        assert same_bits(got, want)
+        # The large-n route, scipy on the margins' lo edges, gives the same bits.
+        with mock.patch.object(measures_module, "_KENDALL_MASK_MAX", 1):
+            assert same_bits(measure("kendall", PairedSample(xs, ys)), want)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 400, _KENDALL_MASK_MAX, _KENDALL_MASK_MAX + 1])
+    @pytest.mark.parametrize("sample", [random_sample, tied_sample])
+    def test_kendall_bits_on_normal_data(self, n, sample):
+        s = sample(np.random.default_rng(n), n)
+        assert same_bits(measure("kendall", s), kendalltau(s.xs, s.ys, variant="b")[0])
 
 
 def power_of_two_scaled(values):

@@ -131,11 +131,16 @@ class TestGenerate:
 
 class TestMixtures:
     def test_m_validation(self):
-        for bad in (-1, 4):
+        # Checked as given, through a spec too: 2.5 is not truncated to 2,
+        # nor the strings parsed.
+        for bad in (-1, 4, 2.5, "2", "0.1"):
             with pytest.raises(ValueError):
                 gauss_mix3(bad, 100)
             with pytest.raises(ValueError):
                 nb_mix3(bad, 100)
+            for family in ("gauss_mix3", "nb_mix3"):
+                with pytest.raises(ValueError):
+                    generate(SynthSpec(family, 100, params={"m": bad}))
         # The sample's own check, not SynthSpec's ValueError for n < 2.
         with pytest.raises(TooFewSamples):
             gauss_mix3(1, 1)
@@ -186,12 +191,16 @@ class TestUnifPointMass:
         assert 0.4 < float(np.mean(tight)) < 0.6
 
     def test_parameter_validation(self):
-        for alpha in (0.0, 1.0):
+        for alpha in (0.0, 1.0, 2.5, "2", "0.1"):
             with pytest.raises(ValueError):
                 unif_point_mass(alpha, 0.01, 100)
-        for r in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                generate(SynthSpec("unif_point_mass", 100, params={"alpha": alpha}))
+        for r in (0.0, 1.5, 2.5, "2", "0.1"):
             with pytest.raises(ValueError):
                 unif_point_mass(0.1, r, 100)
+            with pytest.raises(ValueError):
+                generate(SynthSpec("unif_point_mass", 100, params={"r": r}))
         with pytest.raises(TooFewSamples):
             unif_point_mass(0.1, 0.01, 1)
 
