@@ -349,8 +349,23 @@ FULL_SCALE = {
     "timing": {"n_grid": (100, 200, 400, 800, 1600, 3200), "repeats": 10},
 }
 
-def _split_list(text, cast):
-    return tuple(cast(part.strip()) for part in text.split(",") if part.strip() != "")
+def _list_of(cast, length: int | None = None):
+    """An argparse type: one or more comma-separated values read by cast,
+    exactly length of them when length is given."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(cast(part.strip()) for part in text.split(",") if part.strip())
+        except ValueError:
+            values = ()
+        if not values or length not in (None, len(values)):
+            count = "" if length is None else f"{length} "
+            raise argparse.ArgumentTypeError(
+                f"expected {count}comma-separated {cast.__name__} values, got {text!r}"
+            )
+        return values
+
+    return parse
 
 
 def cmd_experiment(args) -> int:
@@ -379,11 +394,11 @@ def cmd_experiment(args) -> int:
         "d_n": args.d_n,
         "eps": args.eps,
         "repeats": args.repeats,
-        "n_grid": None if args.n_grid is None else _split_list(args.n_grid, int),
-        "c_grid": None if args.c_grid is None else _split_list(args.c_grid, float),
-        "families": None if args.families is None else _split_list(args.families, str),
-        "kinds": None if args.measures is None else _split_list(args.measures, str),
-        "point": None if args.point is None else _split_list(args.point, float),
+        "n_grid": args.n_grid,
+        "c_grid": args.c_grid,
+        "families": args.families,
+        "kinds": args.measures,
+        "point": args.point,
     }
     for key, value in requested.items():
         if value is None:
@@ -483,11 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-n", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--repeats", type=_int_at_least(1), default=None)
-    p.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
-    p.add_argument("--c-grid", default=None, help="comma-separated noise levels")
-    p.add_argument("--families", default=None, help="comma-separated family names")
-    p.add_argument("--measures", default=None, help="comma-separated measure tags")
-    p.add_argument("--point", default=None, help="contamination point as x,y")
+    p.add_argument("--n-grid", type=_list_of(int), default=None,
+                   help="comma-separated sample sizes")
+    p.add_argument("--c-grid", type=_list_of(float), default=None,
+                   help="comma-separated noise levels")
+    p.add_argument("--families", type=_list_of(str), default=None,
+                   help="comma-separated family names")
+    p.add_argument("--measures", type=_list_of(str), default=None,
+                   help="comma-separated measure tags")
+    p.add_argument("--point", type=_list_of(float, 2), default=None,
+                   help="contamination point as x,y")
     _add_common_flags(p)
     p.set_defaults(func=cmd_experiment)
 

@@ -20,7 +20,9 @@ into T:
   rounds to a value non-increasing in x, so the x with |q - x| <= h form
   one run around q. searchsorted on the rounded q -+ h finds its edges up
   to the values that rounding decides, and each edge is then stepped, a run
-  of ties at a time, until it agrees with |q - x| <= h itself (`Margin`).
+  of ties at a time, until it agrees with |q - x| <= h itself. At width 0
+  the window is q's run of ties, whose edges are where the sorted values
+  change (`Margin.of`, the one builder of margins from values).
 - cxy counts the points whose x rank and y rank fall in both runs, a
   rectangle in rank space, so four corners of F(a, b), the number of
   points with x rank below a and y rank below b (`corner_counts`). F is
@@ -225,7 +227,10 @@ class Margin:
     rank[k] is the position of point k in sorted order, and the points j with
     |v_k - v_j| <= h are exactly those at sorted positions [lo[k], hi[k]).
     Windows hold whole runs of tied values, so any ranking that sorts the
-    values serves; `permuted` relies on that.
+    values serves: `permuted` relies on that, and `of` ranks by an unstable
+    argsort, several times faster than a stable one on thousands of values.
+    h defaults to 0, where each window is one run of ties: lo counts the
+    values below a point and hi those at or below it.
 
     The arrays may also hold a batch of margins of one axis, shape (S, n),
     such as the y-shuffles of `permuted` with a batch of permutations;
@@ -240,11 +245,21 @@ class Margin:
     hi: np.ndarray
 
     @classmethod
-    def of(cls, values: np.ndarray, h: float) -> "Margin":
-        order = np.argsort(values, kind="stable")
+    def of(cls, values: np.ndarray, h: float = 0.0) -> "Margin":
+        n = values.size
+        order = np.argsort(values)
         ordered = values[order]
-        rank = np.empty(values.size, dtype=np.intp)
-        rank[order] = np.arange(values.size)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        if h == 0.0:
+            # |q - x| <= 0 only for x == q: each window is the run of q's
+            # ties, read off where the sorted values change.
+            new = np.empty(n, dtype=bool)
+            new[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            run = (np.cumsum(new) - 1)[rank]
+            return cls(rank, starts[run], np.append(starts[1:], n)[run])
         # q - x rounds to a value non-increasing in x, so "x lies left of
         # q's window" (q - x > h) and "x does not lie right of it"
         # (q - x >= -h) each hold on a prefix of the sorted values, and each

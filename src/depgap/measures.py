@@ -7,11 +7,11 @@ family (aLDG, avgCSN, mean-T), so tests and batch drivers can treat them
 uniformly.
 
 Every entry is two functions. `prepare(values)` does one axis's own work:
-a `kde._Axis` for the local-density family, a width-0 `Margin` for
-Kendall's tau, Hoeffding's D and matching ranks, the ranks for Spearman,
-and the values themselves for the rest. `pair(x, y, **params)` is the
-measure on two prepared axes. So `measure` is pair(prepare(xs),
-prepare(ys)), while `pairwise_matrix` prepares each row once and
+a `kde._Axis` for the local-density family, the width-0 `Margin.of(values)`
+for Kendall's tau, Hoeffding's D and matching ranks, the average ranks read
+off that margin for Spearman, and the values themselves for the rest.
+`pair(x, y, **params)` is the measure on two prepared axes. So `measure` is
+pair(prepare(xs), prepare(ys)), while `pairwise_matrix` prepares each row once and
 `permutation_test` prepares x once, whatever the measure, and y once for
 the width-0 margins, which permute exactly.
 """
@@ -73,31 +73,10 @@ def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
-def _tie_margin(values: np.ndarray) -> Margin:
-    """Width-0 margin: lo counts the values below each point, hi those at or below it.
-
-    These are `Margin.of(values, 0.0)`'s edges, read off the runs of equal
-    sorted values instead of searched for. The argsort need not be stable,
-    which makes it several times faster on thousands of values: no width-0
-    measure depends on how tied values share their ranks.
-    """
-    n = values.size
-    order = np.argsort(values)
-    ordered = values[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    starts = np.flatnonzero(new)
-    run = (np.cumsum(new) - 1)[rank]
-    return Margin(rank, starts[run], np.append(starts[1:], n)[run])
-
-
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks from 1, ties sharing the mean of their positions: exact
     half-integers, scipy's `rankdata` to the bit."""
-    m = _tie_margin(values)
+    m = Margin.of(values)
     return (m.lo + m.hi + 1) / 2
 
 
@@ -241,6 +220,11 @@ def _two_squared(width: float) -> float:
     return value
 
 
+# The most values _hsic accepts: its n x n kernels and their centred copies
+# peak at 40 n^2 bytes, with or without a given width, so 954 MiB here.
+_HSIC_MAX = 5000
+
+
 def _hsic(xs: np.ndarray, ys: np.ndarray, width: float | None = None) -> float:
     """Biased HSIC with Gaussian kernels exp(-(a-b)^2 / (2 w^2)) per axis.
 
@@ -248,8 +232,14 @@ def _hsic(xs: np.ndarray, ys: np.ndarray, width: float | None = None) -> float:
     width applies to both axes. The heuristic scales with the data, so the
     kernels are computed on unit-scaled values then, whose squares can
     neither overflow nor underflow. A width whose square leaves the normal
-    float range raises DepgapError.
+    float range raises DepgapError, and so do more than _HSIC_MAX values,
+    before anything of size n^2 is allocated.
     """
+    if xs.size > _HSIC_MAX:
+        raise DepgapError(
+            f"HSIC takes at most {_HSIC_MAX} values, got {xs.size}: "
+            f"its kernels need 40 bytes per pair of values"
+        )
     if width is None:
         xs, ys = unit_scaled(xs)[0], unit_scaled(ys)[0]
         wx, wy = median_pairwise_width(xs), median_pairwise_width(ys)
@@ -360,16 +350,17 @@ def _values(values: np.ndarray) -> np.ndarray:
 
 # tag: (prepare, pair). The registry order is the CLI's choice order and
 # the experiments' column order; a measure's parameters are its pair
-# function's keywords.
+# function's keywords. `Margin.of` at its default width 0 is the prepare
+# step of the rank measures that count on margins.
 _MEASURES = {
     "pearson": (_values, _pearson),
     "spearman": (_ranks, _pearson),
-    "kendall": (_tie_margin, _kendall),
-    "hoeffd": (_tie_margin, _hoeffd),
+    "kendall": (Margin.of, _kendall),
+    "hoeffd": (Margin.of, _hoeffd),
     "dcor": (_values, _dcor),
     "hsic": (_values, _hsic),
     "hhg": (_values, _hhg),
-    "mr": (_tie_margin, _mr),
+    "mr": (Margin.of, _mr),
     "aldg": (_Axis, _aldg),
     "avgcsn": (_Axis, _avgcsn_of_axes),
     "mean-t": (_Axis, _mean_t_of_axes),

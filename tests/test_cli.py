@@ -713,6 +713,21 @@ class TestExperimentCommand:
         assert out == "" and flag in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, flag, value", [
+        ("timing", "--n-grid", "1,x"),
+        ("timing", "--n-grid", ","),
+        ("noise-monotonicity", "--families", ""),
+        ("robustness", "--point", "1"),
+        ("robustness", "--point", "1,2,3"),
+    ])
+    def test_malformed_list_is_usage_error(self, tmp_path, capsys, name, flag, value):
+        code, out, err = run_cli(
+            capsys, "experiment", name, "--out", str(tmp_path), flag, value
+        )
+        assert code == 2
+        assert out == "" and flag in err
+        assert not any(tmp_path.iterdir())
+
     def test_full_scale_flag_passes_through(self, tmp_path, capsys):
         # mixture-accumulation has no full-scale preset; the flag is a no-op.
         code, _, _ = run_cli(

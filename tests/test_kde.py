@@ -254,16 +254,17 @@ def closed_counts(xs, ys, hx, hy):
 def edge_inputs(draw, max_n=60):
     # Integer lattices with points exactly h apart, or values on a 0.1 grid
     # with h in {0.1, 0.2, 0.3}, where searchsorted(x +- h) and |q - x| <= h
-    # disagree (0.8 - 0.6 rounds above 0.2).
+    # disagree (0.8 - 0.6 rounds above 0.2). Width 0, whose windows are the
+    # runs of ties, is drawn on both.
     n = draw(st.integers(2, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         values = rng.integers(-4, 5, size=(2, n)).astype(float)
-        widths = (0.5, 1.0, 2.0)
+        widths = (0.0, 0.5, 1.0, 2.0)
     else:
         values = rng.integers(-15, 16, size=(2, n)) / 10
-        widths = (0.1, 0.2, 0.3)
+        widths = (0.0, 0.1, 0.2, 0.3)
     hx, hy = (draw(st.sampled_from(widths)) for _ in range(2))
     return values[0], values[1], hx, hy
 
@@ -330,12 +331,25 @@ class TestWindowCounts:
                 assert np.array_equal(row, joint_counts(mx, my.permuted(perm)))
                 assert np.array_equal(row, closed_counts(xs, ys[perm], hx, hy)[2])
 
-    def test_extreme_magnitudes(self):
+    @pytest.mark.parametrize("pool", [None, (
+        1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300, 0.0, -0.0, 5e-324, 1.0,
+    )])
+    def test_extreme_magnitudes(self, pool):
         rng = np.random.default_rng(37)
-        xs = np.round(rng.normal(size=300), 1) * 1e150
-        ys = np.round(rng.normal(size=300), 1) * 1e150
-        got = window_counts(xs, ys, 1e149, 2e149)
-        for a, b in zip(got, closed_counts(xs, ys, 1e149, 2e149)):
+        if pool is None:
+            xs = np.round(rng.normal(size=300), 1) * 1e150
+            ys = np.round(rng.normal(size=300), 1) * 1e150
+            hx, hy = 1e149, 2e149
+        else:
+            # At width 0 the windows are runs of ties, and -0.0 and 0.0 share
+            # one, as |q - x| <= 0 says.
+            xs, ys = rng.choice(np.array(pool), size=(2, 300))
+            hx = hy = 0.0
+        got = window_counts(xs, ys, hx, hy)
+        # The definition's differences overflow to inf near +-1.8e308.
+        with np.errstate(over="ignore"):
+            want = closed_counts(xs, ys, hx, hy)
+        for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 

@@ -435,6 +435,17 @@ class TestHsic:
         with pytest.raises(DepgapError, match="outside the float range"):
             measure(MeasureKind("hsic", {"width": width}), s)
 
+    @pytest.mark.parametrize("width", [None, 1.0])
+    def test_more_values_than_the_bound_is_typed(self, width):
+        # 5,001 values would need about 954 MiB of kernels; the error comes first.
+        s = random_sample(np.random.default_rng(101), 5001)
+        kind = MeasureKind("hsic", {} if width is None else {"width": width})
+        with pytest.raises(DepgapError, match="at most 5000 values"):
+            measure(kind, s)
+        result = pairwise_matrix(np.array([s.xs, s.ys]), kind)
+        assert np.isnan(result.matrix).all()
+        assert {d["error"] for d in result.diagnostics} == {"DepgapError"}
+
     def test_median_width_helper(self):
         assert median_pairwise_width(np.array([0.0, 1.0, 3.0])) == 2.0
         with pytest.raises(ZeroVariance):
