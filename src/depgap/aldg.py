@@ -12,12 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import child_rng
+from ._util import child_rngs
 from .errors import DegenerateCurve, TooFewSamples
 from .kde import (
     GaussianSpec,
     KdeConfig,
+    Margin,
     PairedSample,
+    _BATCH_VALUES,
     _axes,
     _gap,
     _gaussian_densities,
@@ -134,10 +136,12 @@ def threshold_asymptotic_norm(n: int, sigma_x: float, sigma_y: float) -> float:
     return float(ndtri(1.0 - 1.0 / n)) / (root * n ** (1.0 / 3.0))
 
 
-def _shuffles(rule: ThresholdRule, n: int) -> list:
-    """The y-shuffles of n values that a resolved shuffle rule draws:
-    n_shuffles seeded permutations."""
-    return [child_rng(rule.seed, index).permutation(n) for index in range(rule.n_shuffles)]
+def _shuffles(rules, n: int) -> np.ndarray:
+    """The y-shuffles of n values that resolved shuffle rules with one
+    n_shuffles draw: n_shuffles seeded permutations each, shape
+    (len(rules), n_shuffles, n)."""
+    rngs = child_rngs([(rule.seed, index) for rule in rules for index in range(rule.n_shuffles)])
+    return np.array([rng.permutation(n) for rng in rngs]).reshape(len(rules), -1, n)
 
 
 def _share_at_least(tvals, grid) -> np.ndarray:
@@ -145,8 +149,12 @@ def _share_at_least(tvals, grid) -> np.ndarray:
     return (tvals[None, :] >= grid[:, None]).mean(axis=1)
 
 
-def _median_of_maxima(t_arrays) -> float:
-    return float(np.median(np.max(t_arrays, axis=1)))
+def _median_of_maxima(t_arrays):
+    """The median over shuffles of the largest T: a float for the T rows of
+    one sample's shuffles, shape (S, n), or an array for a batch of them,
+    shape (B, S, n). np.median takes each row's median as it takes one."""
+    medians = np.median(np.max(t_arrays, axis=-1), axis=-1)
+    return float(medians) if medians.ndim == 0 else medians
 
 
 def threshold_uniform_error(
@@ -165,7 +173,8 @@ def threshold_uniform_error(
     checked as `ThresholdRule.uniform_error` checks them.
     """
     rule = _resolve_rule(ThresholdRule.uniform_error(n_shuffles, seed), sample.n)
-    return _median_of_maxima(_t_values(*_axes(sample, cfg), _shuffles(rule, sample.n), threads))
+    x, y = _axes(sample, cfg)
+    return _median_of_maxima(_t_values(x, [y], _shuffles([rule], sample.n), threads)[0])
 
 
 def threshold_inflection_point(
@@ -187,8 +196,8 @@ def threshold_inflection_point(
     arguments are checked as `ThresholdRule.inflection_point` checks them.
     """
     rule = _resolve_rule(ThresholdRule.inflection_point(grid, n_shuffles, seed), sample.n)
-    t_arrays = _t_values(*_axes(sample, cfg), _shuffles(rule, sample.n), threads)
-    return _inflection_point(t_arrays, rule.grid)
+    x, y = _axes(sample, cfg)
+    return _inflection_point(_t_values(x, [y], _shuffles([rule], sample.n), threads)[0], rule.grid)
 
 
 def _inflection_point(t_arrays, grid) -> float:
@@ -235,40 +244,54 @@ def aldg(
     Bandwidths default to sigma_hat * n^{-1/6} per axis when cfg is omitted.
     """
     x, y = _axes(sample, cfg)
-    return _aldg_of_axes(x, y, _resolve_rule(rule, sample.n), threads)
+    return _aldg_of_axes(x, [y], [_resolve_rule(rule, sample.n)], threads)[0]
 
 
-def _aldg_of_axes(x, y, rule: ThresholdRule, threads: int = 1) -> AldgResult:
-    """aLDG of two prepared axes (`kde._Axis`) under a resolved rule.
+def _aldg_of_axes(x, ys, rules, threads: int = 1) -> list:
+    """aLDG of a prepared x axis (`kde._Axis`) against each prepared axis of
+    ys, under the resolved rule of rules at the same position.
 
-    A rule that draws shuffles has the unshuffled y margin and its shuffles
-    counted as one batch; the others count the unshuffled margin alone.
+    The rules differ at most in their seeds. When they draw shuffles, each
+    y's unshuffled margin and its own shuffles are rows of one batch,
+    counted for all of ys together; otherwise the unshuffled margins alone
+    are; ys are then taken in batches of about _BATCH_VALUES values over
+    all their rows.
     """
-    n = x.values.size
-    if rule.draws_shuffles:
-        t_all = _t_values(x, y, [np.arange(n), *_shuffles(rule, n)], threads)
-        tvals, t_arrays = t_all[0], t_all[1:]
+    n, kind = x.values.size, rules[0].kind
+    if rules[0].draws_shuffles:
+        step = max(1, _BATCH_VALUES // ((1 + rules[0].n_shuffles) * n))
+        if len(ys) > step:
+            return [result for i in range(0, len(ys), step)
+                    for result in _aldg_of_axes(x, ys[i:i + step], rules[i:i + step], threads)]
+        unshuffled = np.broadcast_to(np.arange(n), (len(rules), 1, n))
+        t_all = _t_values(x, ys, np.concatenate([unshuffled, _shuffles(rules, n)], axis=1), threads)
+        tvals, t_arrays = t_all[:, 0], t_all[:, 1:]
     else:
-        tvals = _t_values(x, y)
-    if rule.kind == "fixed":
-        t = float(rule.t)
-    elif rule.kind == "asymptotic-norm":
-        t = threshold_asymptotic_norm(n, x.sd, y.sd)
-    elif rule.kind == "uniform-error":
-        t = _median_of_maxima(t_arrays)
+        tvals = _t_values(x, ys, threads=threads)
+    if kind == "fixed":
+        ts = [rule.t for rule in rules]
+    elif kind == "asymptotic-norm":
+        ts = [threshold_asymptotic_norm(n, x.sd, y.sd) for y in ys]
+    elif kind == "uniform-error":
+        ts = _median_of_maxima(t_arrays).tolist()
     else:
-        t = _inflection_point(t_arrays, rule.grid)
-    t = max(t, 0.0)
-    return AldgResult(int(np.count_nonzero(tvals >= t)) / tvals.size, t, rule)
+        ts = [_inflection_point(arrays, rule.grid) for arrays, rule in zip(t_arrays, rules)]
+    results = []
+    for values, t, rule in zip(tvals, ts, rules):
+        t = max(float(t), 0.0)
+        results.append(AldgResult(int(np.count_nonzero(values >= t)) / n, t, rule))
+    return results
 
 
 def mean_t(sample: PairedSample, cfg: KdeConfig | None = None) -> float:
     """Arithmetic mean of the gap statistic T over all sample points."""
-    return _mean_t_of_axes(*_axes(sample, cfg))
+    x, y = _axes(sample, cfg)
+    return _mean_t_of_axes(x, [y])[0]
 
 
-def _mean_t_of_axes(x, y) -> float:
-    return float(np.mean(_t_values(x, y)))
+def _mean_t_of_axes(x, ys) -> list:
+    """Mean T of a prepared x axis against each prepared axis of ys."""
+    return [float(np.mean(tvals)) for tvals in _t_values(x, ys)]
 
 
 def avgcsn(
@@ -287,7 +310,8 @@ def avgcsn(
     marginal count is 0 or n, contribute indicator 0.
     """
     _check_alpha(alpha)
-    return _avgcsn_of_axes(*_axes(sample, cfg), alpha)
+    x, y = _axes(sample, cfg)
+    return _avgcsn_of_axes(x, [y], alpha)[0]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -295,21 +319,24 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
-def _avgcsn_of_axes(x, y, alpha: float = 0.01) -> float:
+def _avgcsn_of_axes(x, ys, alpha: float = 0.01) -> list:
+    """avgCSN of a prepared x axis against each prepared axis of ys, all
+    joint windows counted in one batch."""
     from scipy.special import ndtri  # imported here: slow, and most CLI runs never need it
 
-    nx, ny, nxy = x.margin.counts, y.margin.counts, joint_counts(x.margin, y.margin)
+    my = Margin.stacked([y.margin for y in ys])
+    nx, ny, nxy = x.margin.counts, my.counts, joint_counts(x.margin, my)
     n = nx.size
     z = float(ndtri(1.0 - alpha))
     denom = nx * ny * (n - nx) * (n - ny)
     ok = denom > 0
-    s = np.zeros(n)
+    s = np.zeros(ny.shape)
     s[ok] = (
         math.sqrt(n)
-        * (nxy[ok] * n - nx[ok] * ny[ok])
+        * (nxy[ok] * n - np.broadcast_to(nx, ny.shape)[ok] * ny[ok])
         / np.sqrt(denom[ok].astype(float))
     )
-    return int(np.count_nonzero(ok & (s > z))) / n
+    return (np.count_nonzero(ok & (s > z), axis=1) / n).tolist()
 
 
 def population_aldg_gaussian(

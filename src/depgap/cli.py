@@ -30,7 +30,7 @@ from .experiments import EXPERIMENTS, write_report
 from .inference import permutation_test
 from .kde import PairedSample
 from .measures import MEASURE_TAGS, MeasureKind, measure, pairwise_matrix
-from .synth import SynthSpec, generate
+from .synth import FAMILIES, SynthSpec, generate
 
 
 class _UsageError(Exception):
@@ -349,9 +349,10 @@ FULL_SCALE = {
     "timing": {"n_grid": (100, 200, 400, 800, 1600, 3200), "repeats": 10},
 }
 
-def _list_of(cast, length: int | None = None):
+def _list_of(cast, length: int | None = None, choices=None):
     """An argparse type: one or more comma-separated values read by cast,
-    exactly length of them when length is given."""
+    exactly length of them when length is given, each one of choices when
+    those are given."""
 
     def parse(text: str) -> tuple:
         try:
@@ -362,6 +363,11 @@ def _list_of(cast, length: int | None = None):
             count = "" if length is None else f"{length} "
             raise argparse.ArgumentTypeError(
                 f"expected {count}comma-separated {cast.__name__} values, got {text!r}"
+            )
+        unknown = [value for value in values if choices is not None and value not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {unknown[0]!r} (choose from {', '.join(choices)})"
             )
         return values
 
@@ -502,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sample sizes")
     p.add_argument("--c-grid", type=_list_of(float), default=None,
                    help="comma-separated noise levels")
-    p.add_argument("--families", type=_list_of(str), default=None,
+    p.add_argument("--families", type=_list_of(str, choices=tuple(FAMILIES)), default=None,
                    help="comma-separated family names")
-    p.add_argument("--measures", type=_list_of(str), default=None,
+    p.add_argument("--measures", type=_list_of(str, choices=MEASURE_TAGS), default=None,
                    help="comma-separated measure tags")
     p.add_argument("--point", type=_list_of(float, 2), default=None,
                    help="contamination point as x,y")

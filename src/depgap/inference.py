@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import child_rng, child_seed, ordered_map
-from .kde import Margin, PairedSample
-from .measures import _MEASURES, SIGNED_TAGS, MeasureKind, _seeded_pair
+from ._util import child_rngs, child_seed, ordered_map
+from .kde import _BATCH_VALUES, PairedSample
+from .measures import _MEASURES, SIGNED_TAGS, MeasureKind, _seeded_pairs
 from .synth import SynthSpec, generate
 
 
@@ -38,33 +38,38 @@ def permutation_test(
     measure(kind_with_seed(kind, child_seed(seed, b)), ...), b = 0 being the
     observed one.
 
-    xs and ys are prepared once (the measure's `prepare` step). A width-0
-    margin of ys is permuted as it stands; any other prepared ys is built
-    afresh from the permuted values, since a permuted axis's standard
-    deviation can differ from the original's in its last bits (np.std sums
-    in another order).
+    xs and ys are prepared once (the measure's `prepare` step), and every
+    prepared ys permutes exactly, so no permuted ys is prepared afresh: a
+    permuted axis of the local-density family keeps its own standard
+    deviation and bandwidth, which can differ from ys's in the last bits
+    (np.std sums in another order). The permutations are taken in chunks
+    of about _BATCH_VALUES values, at least one per thread; the
+    local-density family counts a chunk's rows, aLDG's y-shuffles of each
+    included, in one batched joint count. Each statistic is the same for
+    every chunk and thread count.
     """
     if isinstance(kind, str):
         kind = MeasureKind(kind)
     if n_perms < 1:
         raise ValueError("n_perms must be at least 1")
-    signed = kind.tag in SIGNED_TAGS
+    n = sample.n
     prepare = _MEASURES[kind.tag][0]
-    pair = _seeded_pair(kind, sample.n, seed)
+    pairs = _seeded_pairs(kind, n, seed)
     x, y = prepare(sample.xs), prepare(sample.ys)
-    permuted = y.permuted if isinstance(y, Margin) else lambda perm: prepare(sample.ys[perm])
 
-    def stat(b, y):
-        value = pair(b, x, y)
-        return abs(value) if signed else value
+    def stats(indices, perms=None) -> np.ndarray:
+        values = np.array(pairs(indices, x, y, perms))
+        return np.abs(values) if kind.tag in SIGNED_TAGS else values
 
-    observed = stat(0, y)
-    null_stats = ordered_map(
-        lambda b: stat(b, permuted(child_rng(seed, b).permutation(sample.n))),
-        range(1, n_perms + 1),
-        threads,
-    )
-    exceed = int(np.count_nonzero(np.asarray(null_stats) >= observed))
+    def chunk(indices) -> np.ndarray:
+        rngs = child_rngs([(seed, b) for b in indices])
+        return stats(indices, np.array([rng.permutation(n) for rng in rngs]))
+
+    observed = stats([0])[0]
+    count = max(threads, -(-n_perms * n // _BATCH_VALUES))
+    parts = np.array_split(np.arange(1, n_perms + 1), min(count, n_perms))
+    null_stats = np.concatenate(ordered_map(chunk, parts, threads))
+    exceed = int(np.count_nonzero(null_stats >= observed))
     return PermTestResult(
         observed=float(observed),
         p_value=(1 + exceed) / (n_perms + 1),

@@ -115,15 +115,19 @@ class GaussianSpec:
             raise ValueError("sigmas must be positive")
 
 
-def _sample_sd(values: np.ndarray) -> float:
+def _sample_sd(values: np.ndarray):
     """Sample standard deviation (divisor n-1), taken of the unit-scaled values.
 
     The scaling back is exact, so the bits are np.std's wherever its squares
     stay normal floats, and elsewhere they can neither overflow nor underflow.
+    values may also be a batch of permutations of one sequence, shape (S, n),
+    which gives a list of one deviation per row: np.std sums each row as it
+    sums a sequence alone, so every row has the bits of its own call.
     """
     scaled, e = unit_scaled(values)
+    sd = np.std(scaled, axis=-1, ddof=1)
     try:
-        return math.ldexp(float(np.std(scaled, ddof=1)), e)
+        return [math.ldexp(row, e) for row in sd.tolist()] if sd.ndim else math.ldexp(sd, e)
     except OverflowError:
         raise DepgapError("standard deviation exceeds the float range") from None
 
@@ -215,6 +219,15 @@ def t_statistic_empirical(
 # each with the bit counts. Blocks four times larger were a third slower
 # at n = 20000.
 _WORKSPACE = 1_000_000
+# Values of the y margins counted in one group. A group's corner lookups
+# take about 270 bytes per value, so this keeps them near 0.5 MB. On 2,211
+# permuted margins of 100 values, one group of all took 40 ms and groups
+# of 16 to 128 margins 16 to 18 ms (2-core host).
+_GROUP_VALUES = 2048
+# Values of permuted rows held at once: `inference.permutation_test`
+# takes its permutations, and `aldg._aldg_of_axes` its y rows with their
+# shuffles, in batches of about this many.
+_BATCH_VALUES = 16_384
 # _BIT[i] has bit i set, and _LOW[i] the i bits below it.
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 _LOW = _BIT - np.uint64(1)
@@ -285,6 +298,19 @@ class Margin:
         """
         return Margin(self.rank[perm], self.lo[perm], self.hi[perm])
 
+    @classmethod
+    def stacked(cls, margins, perms=None) -> "Margin":
+        """One batch of margins of one axis: row i is margins[i], or with
+        perms, R permutations for each margin (shape (len(margins), R, n)),
+        row i * R + r is margins[i] permuted by perms[i][r]."""
+        n, rows = margins[0].rank.size, 1 if perms is None else len(perms[0])
+        out = cls(*(np.empty((len(margins) * rows, n), dtype=np.intp) for _ in range(3)))
+        for i, margin in enumerate(margins):
+            index = slice(None) if perms is None else np.asarray(perms[i])
+            for name in ("rank", "lo", "hi"):
+                getattr(out, name)[i * rows:(i + 1) * rows] = getattr(margin, name)[index]
+        return out
+
 
 def _prefix_length(ordered, q, edge, holds):
     # searchsorted on the rounded q -+ h can put an edge off by the values
@@ -320,8 +346,9 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
     F(a, b) = below[a >> 6, b] + popcount(masks[(a >> 6) + 1, b] & low
     bits of a), one lookup per corner. Along b, masks[c] is the OR-prefix
     of its word's points in y-rank order, so it is built by repeating each
-    prefix over the bounds it holds for. The bounds are swept in blocks,
-    and the margins taken in groups, of about _WORKSPACE table elements.
+    prefix over the bounds it holds for. The bounds are swept in blocks of
+    about _WORKSPACE table elements, and the margins taken in groups of
+    about _GROUP_VALUES values that also fit in _WORKSPACE.
     """
     n, shape = x_rank.size, b.shape[1:]
     y_rank = y_rank.reshape(-1, n)
@@ -330,7 +357,7 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
     cols = (n >> 6) + 2
     rows = min(n + 1, max(1, _WORKSPACE // cols))
     # A margin's table block has rows * cols elements, its sort keys 64 * cols.
-    group = max(1, _WORKSPACE // (max(rows, 64) * cols))
+    group = max(1, min(_WORKSPACE // (max(rows, 64) * cols), _GROUP_VALUES // n))
     slot = (x_rank & 63) + 64
     x_word, x_low = a >> 6, _LOW[a & 63]
     for s0 in range(0, y_rank.shape[0], group):
@@ -396,14 +423,36 @@ class _Axis:
     share an axis.
     """
 
-    def __init__(self, values: np.ndarray, h: float | None = None):
+    def __init__(self, values: np.ndarray, h: float | None = None, margin: Margin | None = None):
         self.values = values
         self.h = _bandwidth_of_sd(self.sd, values.size) if h is None else h
-        self.margin = Margin.of(values, self.h)
+        self.margin = Margin.of(values, self.h) if margin is None else margin
 
     @cached_property
     def sd(self) -> float:
         return _sample_sd(self.values)
+
+    def permuted(self, perms) -> list:
+        """The axes _Axis(values[perm]) at their default bandwidths, one per
+        perm of a batch (shape (S, n)), without sorting any of them.
+
+        A permuted sd can differ from the axis's own in its last bits (np.std
+        sums in another order), and so can its bandwidth, so each row takes
+        both from its own values (`_sample_sd` of the batch). A permuted
+        margin keeps every window, so each distinct bandwidth gets one
+        margin of the values, which its rows permute; a test of a few
+        hundred permutations meets a few.
+        """
+        rows, n = self.values[perms], self.values.size
+        sds = _sample_sd(rows)
+        hs = [_bandwidth_of_sd(sd, n) for sd in sds]
+        margins = {h: Margin.of(self.values, h) for h in set(hs)}
+        axes = []
+        for values, sd, h, perm in zip(rows, sds, hs, perms):
+            axis = _Axis(values, h, margins[h].permuted(perm))
+            axis.sd = sd
+            axes.append(axis)
+        return axes
 
 
 def _axes(sample: PairedSample, cfg: KdeConfig | None = None) -> tuple:
@@ -417,14 +466,17 @@ def _axes(sample: PairedSample, cfg: KdeConfig | None = None) -> tuple:
     return _Axis(sample.xs, cfg.h_x), _Axis(sample.ys, cfg.h_y)
 
 
-def _t_values(x: _Axis, y: _Axis, perms=None, threads: int = 1) -> np.ndarray:
-    """Gap statistic T at every sample point of two prepared axes.
+def _t_values(x: _Axis, ys, perms=None, threads: int = 1) -> np.ndarray:
+    """Gap statistic T at every sample point of x against each prepared axis
+    of ys, a sequence of axes of n values: shape (len(ys), n).
 
-    With perms, a sequence of permutations of range(n), the result has one
-    row per perm: T on (xs, ys[perm]). A permuted y margin keeps every
-    window, so all rows come from one fancy index of y's margin and one
-    batched joint count; threads split the rows into that many batches, and
-    each row is the same for every split.
+    With perms, shape (len(ys), R, n), holding R permutations of range(n)
+    for each y, the result has shape (len(ys), R, n): row [i, r] is T on
+    (xs, ys[i].values[perms[i, r]]) at ys[i]'s bandwidth. A permuted y
+    margin keeps every window, so all rows come from fancy indexes of the y
+    margins and one batched joint count; threads split the rows into that
+    many batches, and each row is the same for every split and batch.
+    Callers keep a batch near _BATCH_VALUES values over all its rows.
 
     The densities are formed with the bandwidths scaled by powers of two
     into [0.5, 2), and T is scaled back by the root of that factor
@@ -433,20 +485,33 @@ def _t_values(x: _Axis, y: _Axis, perms=None, threads: int = 1) -> np.ndarray:
     densities can no longer overflow or underflow.
     """
     mx, n = x.margin, x.values.size
-    h_x, h_y, k = _scaled_pair(x.h, y.h)
+    # h_x scales alone; each y's rows get its own scaled h_y and exponent k.
+    scaled = [_scaled_pair(x.h, y.h) for y in ys]
+    h_x = scaled[0][0]
     fx = mx.counts / (2.0 * h_x) / n
 
-    def rows(my: Margin) -> np.ndarray:
-        fy = my.counts / (2.0 * h_y) / n
+    def t_of(cy, cxy, h_y, k):
+        fy = cy / (2.0 * h_y) / n
         # Same denominator grouping as joint_density: swap-symmetric bits.
-        fxy = joint_counts(mx, my) / ((2.0 * h_x) * (2.0 * h_y)) / n
+        fxy = cxy / ((2.0 * h_x) * (2.0 * h_y)) / n
         return np.ldexp(_gap(fx, fy, fxy), -k)
 
-    if perms is None:
-        return rows(y.margin)
-    perms = np.asarray(perms)
-    parts = np.array_split(perms, min(threads, len(perms))) if threads > 1 else [perms]
-    return np.concatenate(ordered_map(lambda part: rows(y.margin.permuted(part)), parts, threads))
+    if perms is None and len(ys) == 1:
+        # One pair, as a single measure or a matrix cell counts it: no batch.
+        my = ys[0].margin
+        return t_of(my.counts, joint_counts(mx, my), *scaled[0][1:])[None]
+    my = Margin.stacked([y.margin for y in ys], perms)
+    total = my.rank.shape[0]
+    count = min(max(threads, 1), total)
+    parts = [slice(total * i // count, total * (i + 1) // count) for i in range(count)]
+    cxy = np.concatenate(ordered_map(
+        lambda rows: joint_counts(mx, Margin(my.rank[rows], my.lo[rows], my.hi[rows])),
+        parts, threads))
+    # Exponents as C ints: np.ldexp is several times slower on 64-bit ones.
+    shape = (len(ys), -1, n)
+    h_y, k = np.array([h for _, h, _ in scaled]), np.array([k for *_, k in scaled], dtype=np.intc)
+    t = t_of(my.counts.reshape(shape), cxy.reshape(shape), h_y[:, None, None], k[:, None, None])
+    return t[:, 0] if perms is None else t
 
 
 def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.ndarray:
@@ -455,7 +520,8 @@ def t_statistic_at_sample_points(sample: PairedSample, cfg: KdeConfig) -> np.nda
     Self-inclusion of the boxcar window guarantees both marginals are
     positive at sample points, so the result is always finite.
     """
-    return _t_values(*_axes(sample, cfg))
+    x, y = _axes(sample, cfg)
+    return _t_values(x, [y])[0]
 
 
 def _gap(fx, fy, fxy):

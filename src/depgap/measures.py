@@ -10,12 +10,16 @@ Every entry is two functions. `prepare(values)` does one axis's own work:
 a `kde._Axis` for the local-density family, the width-0 `Margin.of(values)`
 for Kendall's tau, Hoeffding's D and matching ranks, the average ranks read
 off that margin for Spearman, and the values themselves for the rest.
-`pair(x, y, **params)` is the measure on two prepared axes. So `measure` is
-pair(prepare(xs), prepare(ys)), while `pairwise_matrix` prepares each row once and
-`permutation_test` prepares x once, whatever the measure, and y once for
-the width-0 margins, which permute exactly.
+`pair(x, ys, **params)` is the measure of a prepared x against each
+prepared axis of a list ys: the local-density family counts all of them
+together, and the other measures take them one at a time (`_each`). So
+`measure` is pair(prepare(xs), [prepare(ys)])[0], while `pairwise_matrix`
+prepares each row once and `permutation_test` prepares xs and ys once,
+whatever the measure: every prepared ys permutes exactly (`_PERMUTED`), so
+a chunk of permutations is one list of ys.
 """
 
+import functools
 import inspect
 import math
 import sys
@@ -340,12 +344,23 @@ def _mr(mx: Margin, my: Margin) -> float:
     return (forward + backward) / (2.0 * math.comb(n, 3))
 
 
-def _aldg(x: _Axis, y: _Axis, rule: ThresholdRule | None = None) -> float:
-    return _aldg_of_axes(x, y, _resolve_rule(rule, x.values.size)).value
+def _aldg(x: _Axis, ys: list, rule: ThresholdRule | None = None) -> list:
+    rule = _resolve_rule(rule, x.values.size)
+    return [result.value for result in _aldg_of_axes(x, ys, [rule] * len(ys))]
 
 
 def _values(values: np.ndarray) -> np.ndarray:
     return values
+
+
+def _each(pair):
+    """The pair step of a measure of one prepared y, over a list of them."""
+
+    @functools.wraps(pair)
+    def pairs(x, ys: list, **params) -> list:
+        return [pair(x, y, **params) for y in ys]
+
+    return pairs
 
 
 # tag: (prepare, pair). The registry order is the CLI's choice order and
@@ -353,17 +368,29 @@ def _values(values: np.ndarray) -> np.ndarray:
 # function's keywords. `Margin.of` at its default width 0 is the prepare
 # step of the rank measures that count on margins.
 _MEASURES = {
-    "pearson": (_values, _pearson),
-    "spearman": (_ranks, _pearson),
-    "kendall": (Margin.of, _kendall),
-    "hoeffd": (Margin.of, _hoeffd),
-    "dcor": (_values, _dcor),
-    "hsic": (_values, _hsic),
-    "hhg": (_values, _hhg),
-    "mr": (Margin.of, _mr),
+    "pearson": (_values, _each(_pearson)),
+    "spearman": (_ranks, _each(_pearson)),
+    "kendall": (Margin.of, _each(_kendall)),
+    "hoeffd": (Margin.of, _each(_hoeffd)),
+    "dcor": (_values, _each(_dcor)),
+    "hsic": (_values, _each(_hsic)),
+    "hhg": (_values, _each(_hhg)),
+    "mr": (Margin.of, _each(_mr)),
     "aldg": (_Axis, _aldg),
     "avgcsn": (_Axis, _avgcsn_of_axes),
     "mean-t": (_Axis, _mean_t_of_axes),
+}
+# Each prepare step's permutation: (y, perms) -> the prepared rows of
+# ys[perm], one per perm of a batch, each what `prepare` gives on ys[perm]
+# without preparing it afresh. Arrays permute as they stand: the values,
+# and Spearman's average ranks, which belong to the values, so ranks[perm]
+# is _ranks(ys[perm]) to the byte. So do width-0 margins; an axis takes
+# each row's own bandwidth (`_Axis.permuted`).
+_PERMUTED = {
+    _values: lambda y, perms: list(y[perms]),
+    _ranks: lambda y, perms: list(y[perms]),
+    Margin.of: lambda y, perms: [y.permuted(perm) for perm in perms],
+    _Axis: _Axis.permuted,
 }
 MEASURE_TAGS = tuple(_MEASURES)
 _ALLOWED_PARAMS = {
@@ -379,7 +406,7 @@ def measure(kind, sample: PairedSample) -> float:
     if isinstance(kind, str):
         kind = MeasureKind(kind)
     prepare, pair = _MEASURES[kind.tag]
-    return float(pair(prepare(sample.xs), prepare(sample.ys), **kind.params))
+    return float(pair(prepare(sample.xs), [prepare(sample.ys)], **kind.params)[0])
 
 
 def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
@@ -397,20 +424,31 @@ def kind_with_seed(kind: MeasureKind, seed: int) -> MeasureKind:
     return kind
 
 
-def _seeded_pair(kind: MeasureKind, n: int, seed: int):
-    """f(index, x, y): the measure of kind_with_seed(kind, child_seed(seed,
-    index)) on two axes of n values prepared by the kind's `prepare`.
+def _seeded_pairs(kind: MeasureKind, n: int, seed: int):
+    """f(indices, x, y, perms=None): for each index, the measure of
+    kind_with_seed(kind, child_seed(seed, index)) on two axes of n values
+    prepared by the kind's `prepare`, as a list. Without perms there is one
+    index, measured on y itself; with perms, a batch of permutations, one
+    per index, each is measured on y permuted by its perm (`_PERMUTED`).
 
     This is where batch callers resolve aLDG's rule, once for n; a task's
-    seed is derived only when the resolved rule draws shuffles.
+    seed is derived only when the resolved rule draws shuffles, and then
+    aLDG counts the shuffles of every y together with the ys themselves.
     """
-    pair, params = _MEASURES[kind.tag][1], kind.params
+    prepare, pair = _MEASURES[kind.tag]
+    params = kind.params
     if kind.tag == "aldg":
         rule = _resolve_rule(params.get("rule"), n)
-        if rule.draws_shuffles:
-            return lambda index, x, y: pair(x, y, rule.reseeded(child_seed(seed, index)))
         params = {"rule": rule}
-    return lambda index, x, y: pair(x, y, **params)
+
+    def pairs(indices, x, y, perms=None) -> list:
+        ys = [y] if perms is None else _PERMUTED[prepare](y, perms)
+        if kind.tag == "aldg" and rule.draws_shuffles:
+            rules = [rule.reseeded(child_seed(seed, index)) for index in indices]
+            return [result.value for result in _aldg_of_axes(x, ys, rules)]
+        return pair(x, ys, **params)
+
+    return pairs
 
 
 def _prepared_row(prepare, row: np.ndarray):
@@ -463,7 +501,7 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
     # Below 2 values every task fails PairedSample's checks before its pair,
     # and at 0 values the aLDG rule has no default shuffle count.
     if data.shape[1] >= 2:
-        pair = _seeded_pair(kind, data.shape[1], seed)
+        seeded = _seeded_pairs(kind, data.shape[1], seed)
 
     def one(task):
         index, i, j = task
@@ -472,7 +510,7 @@ def pairwise_matrix(data, kind, threads: int = 1, seed: int = 0) -> PairwiseResu
             if x is None or y is None:
                 PairedSample(data[i], data[j])  # raises the checks' own error
             failed = [row for row in (x, y) if isinstance(row, DepgapError)]
-            return failed[0] if failed else pair(index, x, y)
+            return failed[0] if failed else seeded([index], x, y)[0]
         except DepgapError as exc:
             return exc
 

@@ -717,6 +717,10 @@ class TestExperimentCommand:
         ("timing", "--n-grid", "1,x"),
         ("timing", "--n-grid", ","),
         ("noise-monotonicity", "--families", ""),
+        ("noise-monotonicity", "--families", "sine,nope"),
+        ("power-suite", "--families", "nope"),
+        ("power-suite", "--measures", "nope"),
+        ("power-suite", "--measures", "pearson,aldg,nope"),
         ("robustness", "--point", "1"),
         ("robustness", "--point", "1,2,3"),
     ])

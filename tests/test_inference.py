@@ -1,5 +1,6 @@
 """Permutation testing and power estimation."""
 
+import importlib
 import sys
 
 import numpy as np
@@ -12,13 +13,14 @@ from depgap import (
     PairedSample,
     SynthSpec,
     ThresholdRule,
+    default_bandwidth,
     generate,
     measure,
     permutation_test,
     power_estimate,
 )
 from depgap import inference, measures
-from depgap._util import child_rng, child_seed, ordered_map
+from depgap._util import child_rng, child_seed
 from depgap.measures import kind_with_seed
 
 
@@ -93,16 +95,26 @@ class TestPermutationTest:
         "kendall-scipy": MeasureKind("kendall"),
     }
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @staticmethod
+    def tied_sample(n):
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=n)
+        return PairedSample(xs, np.round(0.3 * xs + rng.normal(size=n), 1))
+
+    # threads, and whether a small batch budget takes the permutations one
+    # chunk each and aLDG's rows one statistic per joint count.
+    @pytest.mark.parametrize("threads, small_batches", [(1, False), (2, False), (3, False),
+                                                        (1, True)])
     @pytest.mark.parametrize("n", [150, 230])
     @pytest.mark.parametrize("name", KINDS)
-    def test_equals_a_loop_of_measure(self, name, n, threads, monkeypatch):
+    def test_equals_a_loop_of_measure(self, name, n, threads, small_batches, monkeypatch):
         kind, seed, n_perms = self.KINDS[name], 17, 6
         if name == "kendall-scipy":
             monkeypatch.setattr(measures, "_KENDALL_MASK_MAX", 1)
-        rng = np.random.default_rng(n)
-        xs = rng.normal(size=n)
-        s = PairedSample(xs, np.round(0.3 * xs + rng.normal(size=n), 1))
+        if small_batches:
+            monkeypatch.setattr(inference, "_BATCH_VALUES", n)
+            monkeypatch.setattr(importlib.import_module("depgap.aldg"), "_BATCH_VALUES", n)
+        s = self.tied_sample(n)
         stats = [
             measure(kind_with_seed(kind, child_seed(seed, b)),
                     PairedSample(s.xs, child_rng(seed, b).permutation(s.ys) if b else s.ys))
@@ -110,19 +122,41 @@ class TestPermutationTest:
         ]
         if kind.tag in SIGNED_TAGS:
             stats = [abs(value) for value in stats]
-        null = []
+        null, chunks = [], []
+        seeded_pairs = inference._seeded_pairs
 
-        def recording_map(fn, items, threads):
-            null.extend(ordered_map(fn, items, threads))
-            return null
+        def recording_pairs(*args):
+            pairs = seeded_pairs(*args)
 
-        # The null statistics themselves, to the bit: a p-value alone would
-        # miss a last-bit change.
-        monkeypatch.setattr(inference, "ordered_map", recording_map)
+            def recorded(indices, x, y, perms=None):
+                values = pairs(indices, x, y, perms)
+                if perms is not None:
+                    null.extend(zip(indices, values))
+                    chunks.append(len(indices))
+                return values
+
+            return recorded
+
+        # The null statistics themselves, to the bit, where the test gets
+        # them from the measure: a p-value alone would miss a last-bit change.
+        monkeypatch.setattr(inference, "_seeded_pairs", recording_pairs)
         result = permutation_test(kind, s, n_perms=n_perms, seed=seed, threads=threads)
-        assert np.array(null).tobytes() == np.array(stats[1:]).tobytes()
+        assert [b for b, _ in sorted(null)] == list(range(1, n_perms + 1))
+        got = [abs(value) if kind.tag in SIGNED_TAGS else value for _, value in sorted(null)]
+        assert np.array(got).tobytes() == np.array(stats[1:]).tobytes()
+        assert len(chunks) == (n_perms if small_batches else threads)
         assert result.observed == stats[0]
         assert result.p_value == (1 + sum(value >= stats[0] for value in stats[1:])) / (n_perms + 1)
+
+    @pytest.mark.parametrize("n", [150, 230])
+    def test_loop_samples_permute_the_bandwidth(self, n):
+        # The guard above runs where a permuted y's bandwidth, from its own
+        # standard deviation, differs from y's own in the last bits, so
+        # reusing y's margin would miss windows.
+        s = self.tied_sample(n)
+        own = default_bandwidth(s.ys)
+        permuted = [default_bandwidth(child_rng(17, b).permutation(s.ys)) for b in range(1, 7)]
+        assert any(h != own for h in permuted)
 
     def test_prepared_x_shared_by_more_threads_than_cores(self):
         # Every permutation reads the one prepared x; a short switch interval

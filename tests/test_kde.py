@@ -305,10 +305,12 @@ class TestWindowCounts:
             assert np.array_equal(a, b)
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(edge_inputs(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 4]))
+    @given(edge_inputs(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 4, 16]))
     def test_permuting_y_permutes_its_margin(self, inputs, seed, batch):
         # batch None permutes once; otherwise a batch of that many shuffled
-        # margins is counted in one call, optionally across several blocks.
+        # margins is counted in one call, optionally across several blocks
+        # of y-rank bounds or several groups of margins (3 to a group, the
+        # last one short when the batch has 16).
         xs, ys, hx, hy = inputs
         rng = np.random.default_rng(seed)
         mx, my = Margin.of(xs, hx), Margin.of(ys, hy)
@@ -322,9 +324,12 @@ class TestWindowCounts:
             )
             return
         perms = np.array([rng.permutation(xs.size) for _ in range(batch)])
-        for workspace in (kde._WORKSPACE, 40):
+        budgets = ((kde._WORKSPACE, kde._GROUP_VALUES), (40, kde._GROUP_VALUES),
+                   (kde._WORKSPACE, 3 * xs.size))
+        for workspace, group in budgets:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kde, "_WORKSPACE", workspace)
+                mp.setattr(kde, "_GROUP_VALUES", group)
                 got = joint_counts(mx, my.permuted(perms))
             assert got.shape == perms.shape
             for row, perm in zip(got, perms):
@@ -351,6 +356,60 @@ class TestWindowCounts:
             want = closed_counts(xs, ys, hx, hy)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+class TestPermutedAxis:
+    """`_Axis.permuted`: every row is the axis _Axis(values[perm]) prepared
+    afresh, its sd and bandwidth to the bit, its windows and its joint
+    counts against an x margin."""
+
+    @staticmethod
+    def check(xs, ys, hx, perms):
+        try:
+            fresh = [kde._Axis(ys[perm]) for perm in perms]
+        except DepgapError as exc:
+            with pytest.raises(type(exc)):
+                kde._Axis(ys).permuted(perms)
+            return
+        rows = kde._Axis(ys).permuted(perms)
+        mx = Margin.of(xs, hx)
+        assert len(rows) == len(perms)
+        for row, want, perm in zip(rows, fresh, perms):
+            assert np.array_equal(row.values, ys[perm])
+            assert np.float64(row.sd).tobytes() == np.float64(want.sd).tobytes()
+            assert np.float64(row.h).tobytes() == np.float64(want.h).tobytes()
+            assert np.array_equal(row.margin.counts, want.margin.counts)
+            assert np.array_equal(joint_counts(mx, row.margin), joint_counts(mx, want.margin))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(edge_inputs(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_rows_equal_fresh_axes(self, inputs, seed, batch):
+        # Integer lattices and 0.1 grids, constant axes included.
+        xs, ys, hx, _ = inputs
+        rng = np.random.default_rng(seed)
+        self.check(xs, ys, hx, np.array([rng.permutation(ys.size) for _ in range(batch)]))
+
+    @pytest.mark.parametrize("pool", [
+        (1e300, -1e300, 0.0, -0.0, 5e-324, 1.0),
+        (0.0, 5e-324, 3e-321, 1e-320),
+        (1e300, 1.5e300, -1e300),
+    ])
+    @pytest.mark.parametrize("n", [2, 7, 100, 333])
+    def test_rows_equal_fresh_axes_at_extreme_magnitudes(self, pool, n):
+        rng = np.random.default_rng(n)
+        xs, ys = rng.choice(np.array(pool), size=(2, n))
+        self.check(xs, ys, 0.0, np.array([rng.permutation(n) for _ in range(40)]))
+
+    def test_rows_take_their_own_bandwidths(self):
+        # Rounded normal values: some permutations' sds differ from the
+        # axis's own in the last bits, and the rows keep those differences.
+        rng = np.random.default_rng(150)
+        xs = rng.normal(size=150)
+        ys = np.round(0.3 * xs + rng.normal(size=150), 1)
+        perms = np.array([rng.permutation(150) for _ in range(40)])
+        rows = kde._Axis(ys).permuted(perms)
+        assert len({row.h for row in rows} - {kde._Axis(ys).h}) > 0
+        self.check(xs, ys, 0.3, perms)
 
 
 class TestTStatisticPopulation:

@@ -2,7 +2,9 @@
 
 import threading
 
-from depgap._util import child_rng, child_seed, fmt_float, ordered_map
+import pytest
+
+from depgap._util import child_rng, child_rngs, child_seed, fmt_float, ordered_map
 
 
 class TestChildSeed:
@@ -54,3 +56,23 @@ class TestFmtFloat:
 
     def test_nan(self):
         assert fmt_float(float("nan")) == "nan"
+
+
+class TestChildRngs:
+    # Seeds and indices of one to three 32-bit words, zero included: the
+    # SeedSequence entropy of a key is the words of both, low first.
+    KEYS = [(0, 0), (0, 1), (3, 0), (2**32 - 1, 5), (2**32, 7), (2**64 - 1, 2**32 - 1),
+            (2**70 + 3, 1), (2**31, 2**32 + 5), *((child_seed(9, b), i) for b in range(20)
+                                                  for i in range(11))]
+
+    def test_equal_one_generator_per_key(self):
+        for (seed, index), rng in zip(self.KEYS, child_rngs(self.KEYS)):
+            want = child_rng(seed, index)
+            assert rng.permutation(100).tolist() == want.permutation(100).tolist()
+            assert rng.integers(0, 2**63, 4).tolist() == want.integers(0, 2**63, 4).tolist()
+
+    def test_negative_key_is_rejected_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            child_rng(-1, 0)
+        with pytest.raises(ValueError):
+            child_rngs([(3, 0), (-1, 0)])
