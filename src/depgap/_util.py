@@ -3,6 +3,7 @@ and stable float formatting for report files.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,13 +15,7 @@ def child_seed(seed: int, index: int) -> int:
     The derivation hashes the (seed, index) pair, so child streams do not
     depend on how many sibling tasks exist or in which order they run.
     """
-    ss = np.random.SeedSequence((int(seed), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def child_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator seeded from the (seed, index) hash; see child_seed."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
+    return child_seeds([(seed, index)])[0]
 
 
 # The constants of numpy's SeedSequence hash (O'Neill's seed_seq_fe).
@@ -93,20 +88,47 @@ def _pcg_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def child_rngs(keys) -> list:
-    """[child_rng(seed, index) for seed, index in keys], bit for bit.
+# Below this many keys SeedSequence is faster than the array hash, whose
+# hundred-odd array operations cost about 200 us however few rows they hash,
+# against 12 us a key (2-core host).
+_ARRAY_HASH_KEYS = 16
 
-    Seeding one generator hashes its key twice (SeedSequence, then its
-    state), about two thirds of the cost of drawing a short permutation
-    from it; here the hashes of all keys run as a few array operations and
-    each generator only seeds PCG64 from its state.
-    """
+
+def _key_states(keys) -> np.ndarray:
+    """SeedSequence((seed, index)).generate_state(4, uint64) for each
+    (seed, index) of keys, shape (len(keys), 4): from _ARRAY_HASH_KEYS keys
+    on, the hashes of all keys of one entropy length run as a few array
+    operations."""
+    keys = list(keys)
+    if len(keys) < _ARRAY_HASH_KEYS:
+        states = [np.random.SeedSequence((int(seed), int(index))).generate_state(4, np.uint64)
+                  for seed, index in keys]
+        return np.array(states, dtype=np.uint64).reshape(-1, 4)
     words = [_words(seed) + _words(index) for seed, index in keys]
     states = np.empty((len(words), 4), dtype=np.uint64)
     for length in {len(w) for w in words}:
         rows = [i for i, w in enumerate(words) if len(w) == length]
         states[rows] = _pcg_states(np.array([words[i] for i in rows], dtype=np.uint32))
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    return states
+
+
+def child_seeds(keys) -> list:
+    """One 64-bit child seed per (seed, index) of keys: the first word
+    SeedSequence((seed, index)) generates."""
+    return _key_states(keys)[:, 0].tolist()
+
+
+def child_rngs(keys) -> list:
+    """One generator per (seed, index) of keys, each seeded as
+    np.random.default_rng(np.random.SeedSequence((seed, index))) is.
+
+    Seeding one generator hashes its key twice (SeedSequence, then its
+    state), about two thirds of the cost of drawing a short permutation
+    from it; here the SeedSequence hashes of many keys run as a few array
+    operations (`_key_states`) and each generator only seeds PCG64 from its
+    state.
+    """
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in _key_states(keys)]
 
 
 def unit_scaled(values) -> tuple:
@@ -127,11 +149,13 @@ def ordered_map(fn, items, threads: int = 1) -> list:
 
     Results are collected in input order, so the output is identical for
     every thread count as long as fn is a pure function of its argument.
+    The pool starts no more threads than there are items or CPUs.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

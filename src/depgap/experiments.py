@@ -465,10 +465,10 @@ def run_mixture_accumulation(
 
 
 # Measures cheap enough to recompute inside every permutation at the default
-# grid sizes. hhg costs O(n^3) per evaluation and would multiply the suite
-# runtime roughly tenfold. mr is cheap now, but stays out so that the suite's
-# report keeps its columns and its runtime. Pass either in `kinds` explicitly
-# to include it.
+# grid sizes. hhg sorts and counts one mask table of n^2 / 64 words per
+# center, and is still the costliest measure per evaluation; mr is cheap.
+# Both stay out so that the suite's report keeps its columns and its
+# runtime. Pass either in `kinds` explicitly to include it.
 POWER_SUITE_KINDS = tuple(t for t in MEASURE_TAGS if t not in ("hhg", "mr"))
 
 

@@ -250,7 +250,8 @@ class Margin:
     `joint_counts` counts them all against one x margin. `measures._kendall`,
     `measures._hoeffd` and `measures._mr` read the edges of width-0 margins
     as corners of `corner_counts` instead, and `measures._ranks` reads them
-    as average ranks.
+    as average ranks. `measures._hhg` builds a batch of width-0 margins, one
+    row per center, on each axis and counts them row against row.
     """
 
     rank: np.ndarray
@@ -259,20 +260,26 @@ class Margin:
 
     @classmethod
     def of(cls, values: np.ndarray, h: float = 0.0) -> "Margin":
-        n = values.size
-        order = np.argsort(values)
-        ordered = values[order]
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
+        """The margin of values at width h; at width 0 values may also be a
+        batch of sequences, shape (S, n), each row a margin of its own."""
+        n = values.shape[-1]
+        # Where each row begins in the flat arrays, so that one fancy index
+        # serves a batch as it serves a single row.
+        offset = np.arange(0, values.size, n).reshape(*values.shape[:-1], 1)
+        order = np.argsort(values) + offset
+        ordered = values.reshape(-1)[order]
+        rank = np.empty(values.shape, dtype=np.intp)
+        rank.reshape(-1)[order] = np.arange(n)
         if h == 0.0:
             # |q - x| <= 0 only for x == q: each window is the run of q's
-            # ties, read off where the sorted values change.
-            new = np.empty(n, dtype=bool)
-            new[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+            # ties, read off where the sorted values change. In the flat
+            # arrays every row starts a run.
+            new = np.empty(values.shape, dtype=bool)
+            new[..., 0] = True
+            np.not_equal(ordered[..., 1:], ordered[..., :-1], out=new[..., 1:])
             starts = np.flatnonzero(new)
-            run = (np.cumsum(new) - 1)[rank]
-            return cls(rank, starts[run], np.append(starts[1:], n)[run])
+            run = (np.cumsum(new) - 1)[rank + offset]
+            return cls(rank, starts[run] - offset, np.append(starts[1:], values.size)[run] - offset)
         # q - x rounds to a value non-increasing in x, so "x lies left of
         # q's window" (q - x > h) and "x does not lie right of it"
         # (q - x >= -h) each hold on a prefix of the sorted values, and each
@@ -338,7 +345,9 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
     x_rank is a permutation of range(n), and y_rank one too or a batch of
     them with shape (S, n). a has shape (I, n) and b (J, n) or (J, S, n);
     result[j, i, ..., k] is F(a[i, k], b[j, ..., k]), counted with the y
-    ranks of the same batch row.
+    ranks of the same batch row. x_rank may be a batch of shape (S, n) as
+    well, paired row by row with y_rank's, and a then has shape (I, S, n),
+    each row bounding the x ranks of its own batch row.
 
     x ranks are packed 64 to a word, behind a zero word. For each y margin
     and y-rank bound b, masks[c, b] is word c of the set of x ranks whose
@@ -350,7 +359,7 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
     about _WORKSPACE table elements, and the margins taken in groups of
     about _GROUP_VALUES values that also fit in _WORKSPACE.
     """
-    n, shape = x_rank.size, b.shape[1:]
+    n, shape = x_rank.shape[-1], b.shape[1:]
     y_rank = y_rank.reshape(-1, n)
     b = b.reshape(b.shape[0], -1, n)
     out = np.empty((b.shape[0], a.shape[0], *y_rank.shape), dtype=np.intp)
@@ -359,6 +368,9 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
     # A margin's table block has rows * cols elements, its sort keys 64 * cols.
     group = max(1, min(_WORKSPACE // (max(rows, 64) * cols), _GROUP_VALUES // n))
     slot = (x_rank & 63) + 64
+    batched = x_rank.ndim > 1
+    if not batched:
+        a = a[:, None]  # one x margin's bounds serve every batch row
     x_word, x_low = a >> 6, _LOW[a & 63]
     for s0 in range(0, y_rank.shape[0], group):
         ranks, bound = y_rank[s0:s0 + group], b[:, s0:s0 + group]
@@ -366,7 +378,13 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
         # 64 (y + 1) + i for the point at x rank 64 (c - 1) + i, sorted
         # within each word c; 64 (n + 1) where a word has no point.
         key = np.full((size, cols * 64), 64 * (n + 1))
-        key[:, x_rank + 64] = ranks * 64 + slot
+        if batched:
+            rows_x = slice(s0, s0 + size)
+            np.put_along_axis(key, x_rank[rows_x] + 64, ranks * 64 + slot[rows_x], 1)
+            word, low = x_word[:, rows_x], x_low[:, rows_x]
+        else:
+            key[:, x_rank + 64] = ranks * 64 + slot
+            word, low = x_word, x_low
         key = np.sort(key.reshape(size, cols, 64), axis=2)
         steps = key >> 6
         prefix = np.zeros((size, cols, 65), dtype=np.uint64)
@@ -386,8 +404,8 @@ def corner_counts(x_rank, y_rank, a, b) -> np.ndarray:
             for c in range(1, cols):
                 np.add(below[:, c - 1], below[:, c], out=below[:, c])
             row = bound if height > n else bound.clip(b0, b1 - 1) - b0
-            at = (np.arange(size)[:, None] * cols + x_word[:, None]) * height + row[:, None]
-            words = masks.reshape(-1)[at + height] & x_low[:, None]
+            at = (np.arange(size)[:, None] * cols + word) * height + row[:, None]
+            words = masks.reshape(-1)[at + height] & low
             f = below.reshape(-1)[at] + np.bitwise_count(words)
             if height > n:
                 out[:, :, s0:s0 + size] = f

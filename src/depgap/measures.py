@@ -12,7 +12,8 @@ for Kendall's tau, Hoeffding's D and matching ranks, the average ranks read
 off that margin for Spearman, and the values themselves for the rest.
 `pair(x, ys, **params)` is the measure of a prepared x against each
 prepared axis of a list ys: the local-density family counts all of them
-together, and the other measures take them one at a time (`_each`). So
+together, HHG builds x's per-center margins once for all of them, and the
+other measures take them one at a time (`_each`). So
 `measure` is pair(prepare(xs), [prepare(ys)])[0], while `pairwise_matrix`
 prepares each row once and `permutation_test` prepares xs and ys once,
 whatever the measure: every prepared ys permutes exactly (`_PERMUTED`), so
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import child_seed, ordered_map, unit_scaled
+from ._util import child_seeds, ordered_map, unit_scaled
 from .aldg import (
     ThresholdRule,
     _aldg_of_axes,
@@ -38,7 +39,7 @@ from .aldg import (
     _resolve_rule,
 )
 from .errors import DepgapError, TooFewSamples, UnknownMeasure, ZeroVariance
-from .kde import Margin, PairedSample, _Axis, corner_counts
+from .kde import _BATCH_VALUES, Margin, PairedSample, _Axis, corner_counts
 
 # Tags whose sign carries direction rather than strength; permutation tests
 # compare their absolute values.
@@ -265,47 +266,55 @@ def _hsic(xs: np.ndarray, ys: np.ndarray, width: float | None = None) -> float:
     return float(np.mean(center(k) * center(l)))
 
 
-def _hhg(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Sum over ordered point pairs of the 2x2 ball-membership chi-square.
+def _hhg(xs: np.ndarray, ys: list) -> list:
+    """Sum over ordered point pairs of the 2x2 ball-membership chi-square,
+    of xs against each array of ys.
 
     For a pair (i, j), the remaining n-2 points are classified by whether
     they fall inside the closed x-ball and y-ball of radius |x_j - x_i| and
     |y_j - y_i| around point i. Terms with a degenerate margin contribute 0.
-    The computation is O(n^3): one n x n membership table per center i,
-    built for blocks of 250_000 // n^2 centers to cut per-center overhead.
+
+    For center i the points in a closed ball of radius |x_j - x_i| are
+    those at or below j in the width-0 margin of |x - x_i|: its hi edge at
+    j. Those in both balls are a corner of `corner_counts` on the two
+    margins, so a center costs a sort per axis and a mask table, not an
+    n x n membership table. Centers are taken in blocks of about
+    _BATCH_VALUES distances, and a block's x margins serve every y, so a
+    chunk of permutations sorts x's distances once.
     """
     n = xs.size
     if n < 4:
         raise TooFewSamples("the HHG statistic needs at least 4 observations")
-    total = 0.0
-    block = max(1, int(250_000 // (n * n)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    totals = [0.0] * len(ys)
+    block = max(1, _BATCH_VALUES // n)
+
+    def center_margins(values, start, stop):
         # Distances between values near +-1.8e308 overflow to inf, which
         # still compares correctly against every finite radius.
         with np.errstate(over="ignore"):
-            dx = np.abs(xs[None, :] - xs[start:stop, None])
-            dy = np.abs(ys[None, :] - ys[start:stop, None])
-        in_x = dx[:, None, :] <= dx[:, :, None]
-        in_y = dy[:, None, :] <= dy[:, :, None]
+            return Margin.of(np.abs(values[None, :] - values[start:stop, None]))
+
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        mx = center_margins(xs, start, stop)
         # The center (k = i) and the radius point (k = j) always satisfy the
         # closed inequalities, so dropping them is a constant correction.
-        ax = in_x.sum(axis=2) - 2
-        ay = in_y.sum(axis=2) - 2
-        axy = (in_x & in_y).sum(axis=2) - 2
-        px = ax / (n - 2)
-        py = ay / (n - 2)
-        pxy = axy / (n - 2)
-        denom = px * (1.0 - px) * py * (1.0 - py)
+        px = (mx.hi - 2) / (n - 2)
         rows = np.arange(stop - start)
-        valid = denom > 0.0
-        valid[rows, start + rows] = False
-        terms = np.divide((n - 2) * (pxy - px * py) ** 2, denom,
-                          out=np.zeros_like(denom), where=valid)
-        # Summed per center in index order: rounding ignores the block size.
-        for center_terms, center_valid in zip(terms, valid):
-            total += float(np.add.reduce(center_terms[center_valid]))
-    return total
+        for index, y in enumerate(ys):
+            my = center_margins(y, start, stop)
+            axy = corner_counts(mx.rank, my.rank, mx.hi[None], my.hi[None])[0, 0] - 2
+            py = (my.hi - 2) / (n - 2)
+            pxy = axy / (n - 2)
+            denom = px * (1.0 - px) * py * (1.0 - py)
+            valid = denom > 0.0
+            valid[rows, start + rows] = False
+            terms = np.divide((n - 2) * (pxy - px * py) ** 2, denom,
+                              out=np.zeros_like(denom), where=valid)
+            # Summed per center in index order: rounding ignores the block size.
+            for center_terms, center_valid in zip(terms, valid):
+                totals[index] += float(np.add.reduce(center_terms[center_valid]))
+    return totals
 
 
 def _mr(mx: Margin, my: Margin) -> float:
@@ -374,7 +383,7 @@ _MEASURES = {
     "hoeffd": (Margin.of, _each(_hoeffd)),
     "dcor": (_values, _each(_dcor)),
     "hsic": (_values, _each(_hsic)),
-    "hhg": (_values, _each(_hhg)),
+    "hhg": (_values, _hhg),
     "mr": (Margin.of, _each(_mr)),
     "aldg": (_Axis, _aldg),
     "avgcsn": (_Axis, _avgcsn_of_axes),
@@ -444,7 +453,8 @@ def _seeded_pairs(kind: MeasureKind, n: int, seed: int):
     def pairs(indices, x, y, perms=None) -> list:
         ys = [y] if perms is None else _PERMUTED[prepare](y, perms)
         if kind.tag == "aldg" and rule.draws_shuffles:
-            rules = [rule.reseeded(child_seed(seed, index)) for index in indices]
+            seeds = child_seeds([(seed, index) for index in indices])
+            rules = [rule.reseeded(child) for child in seeds]
             return [result.value for result in _aldg_of_axes(x, ys, rules)]
         return pair(x, ys, **params)
 

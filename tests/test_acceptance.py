@@ -262,14 +262,21 @@ def test_criterion_10_complexity_slopes():
     # below the dense n x n pass (~2 on these sizes) and above a timed no-op.
     # Below n = 200 fixed per-call costs flatten the curve, so it is timed
     # from there.
+    # HHG sorts each center's distances on both axes and counts one mask
+    # table of about n^2 / 64 words per center. On n = 100..800 its slope
+    # read 1.98 to 2.32 in twenty full tier-1 runs (BENCH_hhg_mask_table.json).
+    # The band was [2.6, 3.4] while HHG built an n x n membership table per
+    # center, whose slope read 2.84 to 2.99 here, so the ceiling now lies
+    # below that: a return to the cubic tables fails, and so does a timed
+    # no-op.
     aldg_slope = run_timing(n_grid=(200, 400, 800, 1600), kinds=("aldg",),
                             repeats=3, seed=1010).meta["timing"]["slopes"]["aldg"]
     hhg_slope = run_timing(n_grid=(100, 200, 400, 800), kinds=("hhg",),
                            repeats=3, seed=1010).meta["timing"]["slopes"]["hhg"]
-    ok = 0.5 <= aldg_slope <= 1.7 and 2.6 <= hhg_slope <= 3.4
+    ok = 0.5 <= aldg_slope <= 1.7 and 1.7 <= hhg_slope <= 2.5
     verdict(10, ok,
             f"log-log runtime slopes: aldg {aldg_slope:.2f} (want 0.5..1.7), "
-            f"hhg {hhg_slope:.2f} (want 2.6..3.4)")
+            f"hhg {hhg_slope:.2f} (want 1.7..2.5)")
 
 
 def test_criterion_11_avgcsn_bridge():

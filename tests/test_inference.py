@@ -20,8 +20,13 @@ from depgap import (
     power_estimate,
 )
 from depgap import inference, measures
-from depgap._util import child_rng, child_seed
+from depgap._util import child_seed
 from depgap.measures import kind_with_seed
+
+
+def child_rng(seed, index):
+    """The generator permutation_test draws permutation `index` from."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 def linear_sample(n, slope=1.0, seed=0):

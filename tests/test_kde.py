@@ -25,7 +25,7 @@ from depgap import (
     t_statistic_population,
 )
 from depgap import kde
-from depgap.kde import Margin, joint_counts
+from depgap.kde import Margin, corner_counts, joint_counts
 from oracles import (
     gaussian_t_brute,
     joint_density_brute,
@@ -356,6 +356,63 @@ class TestWindowCounts:
             want = closed_counts(xs, ys, hx, hy)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def corner_brute(x_rank, y_rank, a, b):
+    """F(a, b) by definition, per batch row s: #{k : x_rank[s, k] < a and
+    y_rank[s, k] < b}, shape (J, I, S, n) as corner_counts gives it."""
+    inside_x = x_rank[None, :, None, :] < a[:, :, :, None]
+    inside_y = y_rank[None, :, None, :] < b[:, :, :, None]
+    return (inside_x[None] & inside_y[:, None]).sum(axis=-1)
+
+
+class TestBatchedX:
+    EXTREMES = np.array([1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300,
+                         0.0, -0.0, 5e-324, 1.0])
+
+    def batch(self, rng, kind, rows, n):
+        if kind == "ties":
+            return rng.integers(0, 4, size=(rows, n)).astype(float)
+        if kind == "extreme":
+            return rng.choice(self.EXTREMES, size=(rows, n))
+        return rng.normal(size=(rows, n))
+
+    # n across the 64-bit word edges; workspaces that sweep the y-rank
+    # bounds in several blocks and split the rows into several groups.
+    @pytest.mark.parametrize("n", [2, 5, 63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize("workspace", [None, 40, 600])
+    @pytest.mark.parametrize("kind", ["ties", "normal"])
+    def test_corner_counts_against_brute(self, n, workspace, kind, monkeypatch):
+        if workspace is not None:
+            monkeypatch.setattr(kde, "_WORKSPACE", workspace)
+        rng = np.random.default_rng(n * 7 + (workspace or 0))
+        rows = 5
+        mx = Margin.of(self.batch(rng, kind, rows, n))
+        my = Margin.of(self.batch(rng, kind, rows, n))
+        # The margins' own edges, and any bound from 0 to n.
+        a = np.stack([mx.lo, mx.hi, rng.integers(0, n + 1, size=(rows, n))])
+        b = np.stack([my.hi, rng.integers(0, n + 1, size=(rows, n))])
+        got = corner_counts(mx.rank, my.rank, a, b)
+        assert got.shape == (2, 3, rows, n)
+        assert np.array_equal(got, corner_brute(mx.rank, my.rank, a, b))
+        # Row by row, each batch row is its own one-x call.
+        for s in range(rows):
+            one = corner_counts(mx.rank[s], my.rank[s], a[:, s], b[:, s])
+            assert np.array_equal(got[:, :, s], one)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 300])
+    @pytest.mark.parametrize("kind", ["ties", "extreme", "normal"])
+    def test_width_zero_margin_rows_equal_one_row_calls(self, n, kind):
+        rng = np.random.default_rng(n)
+        values = self.batch(rng, kind, 4, n)
+        batch = Margin.of(values)
+        assert batch.rank.shape == batch.lo.shape == batch.hi.shape == values.shape
+        for i, row in enumerate(values):
+            margin = Margin.of(row)
+            for name in ("rank", "lo", "hi"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(margin, name))
+            # At width 0 a window is the run of ties, -0.0 and 0.0 sharing one.
+            assert np.array_equal(margin.counts, (row[:, None] == row[None, :]).sum(axis=1))
 
 
 class TestPermutedAxis:

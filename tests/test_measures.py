@@ -475,6 +475,77 @@ class TestHhg:
         with pytest.raises(TooFewSamples):
             measure("hhg", PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
 
+    @NO_RUNTIME_WARNINGS
+    @pytest.mark.parametrize("pool", ["tied", "extreme"])
+    def test_matches_brute_at_larger_n(self, pool):
+        rng = np.random.default_rng(103)
+        for n in (23, 40):
+            if pool == "tied":
+                sample = tied_sample(rng, n)
+                xs, ys = sample.xs, sample.ys
+            else:
+                extremes = np.array([-1.7976931348623157e308, -1e300, 0.0, 5e-324, 1.0, 1e300,
+                                     1.7976931348623157e308])
+                xs, ys = rng.choice(extremes, size=(2, n))
+            assert measure("hhg", PairedSample(xs, ys)) == pytest.approx(
+                hhg_brute(xs.tolist(), ys.tolist()), rel=1e-10, abs=1e-9
+            )
+
+    @staticmethod
+    def membership_tables(xs, ys):
+        """HHG from an n x n ball-membership table per center, each center's
+        terms summed alone in index order: the reference for the bits."""
+        n = xs.size
+        total = 0.0
+        with np.errstate(over="ignore"):
+            dx = np.abs(xs[None, :] - xs[:, None])
+            dy = np.abs(ys[None, :] - ys[:, None])
+        for i in range(n):
+            in_x = dx[i][None, :] <= dx[i][:, None]
+            in_y = dy[i][None, :] <= dy[i][:, None]
+            px, py, pxy = ((m.sum(axis=1) - 2) / (n - 2) for m in (in_x, in_y, in_x & in_y))
+            denom = px * (1.0 - px) * py * (1.0 - py)
+            valid = denom > 0.0
+            valid[i] = False
+            terms = np.divide((n - 2) * (pxy - px * py) ** 2, denom,
+                              out=np.zeros_like(denom), where=valid)
+            total += float(np.add.reduce(terms[valid]))
+        return total
+
+    @NO_RUNTIME_WARNINGS
+    @pytest.mark.parametrize("n", [4, 7, 64, 65, 150])
+    def test_bits_equal_membership_tables(self, n):
+        rng = np.random.default_rng(n + 2)
+        for ys in self.ys_of(rng, n):
+            xs = rng.normal(size=n)
+            for x, y in ((xs, ys), (ys, xs)):
+                assert measures_module._hhg(x, [y])[0] == self.membership_tables(x, y)
+
+    @staticmethod
+    def ys_of(rng, n):
+        # Ties on a grid, extreme magnitudes and plain normals, mixed.
+        extremes = np.array([-1.7976931348623157e308, -1e300, 0.0, 5e-324, 1.0, 1e300])
+        return [np.round(rng.normal(size=n), 1), rng.choice(extremes, n), rng.normal(size=n),
+                rng.integers(0, 3, n).astype(float)]
+
+    @pytest.mark.parametrize("n", [4, 63, 65, 130])
+    def test_list_of_ys_equals_one_call_per_y(self, n):
+        rng = np.random.default_rng(n)
+        xs, ys = np.round(rng.normal(size=n), 1), self.ys_of(rng, n)
+        together = measures_module._hhg(xs, ys)
+        alone = [measures_module._hhg(xs, [y])[0] for y in ys]
+        assert np.array(together).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 64, 97])
+    def test_center_blocks_keep_the_bits(self, n, monkeypatch):
+        # Blocks of one center, of three with a short last one, and one block of all.
+        rng = np.random.default_rng(n + 1)
+        xs, ys = rng.normal(size=n), self.ys_of(rng, n)
+        want = measures_module._hhg(xs, ys)
+        for budget in (1, 3 * n, n * n):
+            monkeypatch.setattr(measures_module, "_BATCH_VALUES", budget)
+            assert np.array(measures_module._hhg(xs, ys)).tobytes() == np.array(want).tobytes()
+
 
 class TestMatchingRanks:
     def test_matches_brute_exact_path(self):

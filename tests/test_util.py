@@ -1,10 +1,19 @@
 """Seed derivation, ordered parallel mapping, and float formatting."""
 
+import os
 import threading
 
+import numpy as np
 import pytest
 
-from depgap._util import child_rng, child_rngs, child_seed, fmt_float, ordered_map
+from depgap import _util
+from depgap._util import child_rngs, child_seed, child_seeds, fmt_float, ordered_map
+
+
+def child_rng(seed, index):
+    """The reference for child_rngs: one generator seeded from its key's
+    SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
 
 
 class TestChildSeed:
@@ -27,18 +36,50 @@ class TestOrderedMap:
         assert ordered_map(lambda v: v * v, items, threads=1) == [v * v for v in items]
         assert ordered_map(lambda v: v * v, items, threads=8) == [v * v for v in items]
 
-    def test_actually_uses_worker_threads(self):
+    def test_actually_uses_worker_threads(self, monkeypatch):
+        # Each call waits for a second one to run beside it, so the map
+        # finishes only if two threads serve it at once, on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         names = set()
+        both = threading.Barrier(2, timeout=30)
 
         def record(_):
             names.add(threading.current_thread().name)
-            return None
+            both.wait()
 
         ordered_map(record, range(64), threads=4)
         assert len(names) > 1
 
     def test_single_item_short_circuits(self):
         assert ordered_map(lambda v: v + 1, [41], threads=8) == [42]
+
+    @pytest.mark.parametrize("threads, items", [(10**6, 40), (10**6, 3), (3, 40)])
+    def test_workers_capped_by_items_and_cpus(self, threads, items, monkeypatch):
+        # The recording pool starts no thread, so a huge request stays harmless.
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(_util, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert ordered_map(lambda v: -v, range(items), threads) == [-v for v in range(items)]
+        assert started == [min(threads, items, 4)]
+
+    def test_one_cpu_runs_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        names = ordered_map(lambda _: threading.current_thread().name, range(8), threads=4)
+        assert set(names) == {threading.current_thread().name}
 
 
 class TestFmtFloat:
@@ -74,5 +115,20 @@ class TestChildRngs:
     def test_negative_key_is_rejected_like_seed_sequence(self):
         with pytest.raises(ValueError):
             child_rng(-1, 0)
-        with pytest.raises(ValueError):
-            child_rngs([(3, 0), (-1, 0)])
+        for size in (2, _util._ARRAY_HASH_KEYS + 1):
+            with pytest.raises(ValueError):
+                child_rngs([(3, 0)] * (size - 1) + [(-1, 0)])
+            with pytest.raises(ValueError):
+                child_seeds([(3, 0)] * (size - 1) + [(-1, 0)])
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 15, 16, 17, 64, len(KEYS)])
+    def test_seeds_equal_seed_sequence_on_both_sides_of_the_switch(self, count):
+        # Fewer keys than _ARRAY_HASH_KEYS go through SeedSequence, more
+        # through the array hash; both give its first 64-bit word. Keys of
+        # several entropy lengths are mixed in the first ones.
+        keys = self.KEYS[:count]
+        want = [int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0]) for key in keys]
+        assert child_seeds(keys) == want
+        assert [child_seed(*key) for key in keys] == want
+        for rng, key in zip(child_rngs(keys), keys):
+            assert rng.permutation(50).tolist() == child_rng(*key).permutation(50).tolist()
